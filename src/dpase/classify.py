@@ -33,11 +33,12 @@ def chance_error(labels: np.ndarray) -> float:
     return 1.0 - counts.max() / len(labels)
 
 
-def _sq_dists_to(points: np.ndarray, query: np.ndarray) -> np.ndarray:
+def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     # Accumulate per coordinate so the arithmetic matches a per-pair sum.
-    out = np.zeros(points.shape[0])
+    # Squaring is exact under sign flip, so d(a, b) and d(b, a) are bit-equal.
+    out = np.zeros((len(queries), len(points)))
     for j in range(points.shape[1]):
-        diff = points[:, j] - query[j]
+        diff = queries[:, j][:, None] - points[:, j][None, :]
         out += diff * diff
     return out
 
@@ -75,7 +76,7 @@ def knn_predict(
         )
     if not 1 <= k <= len(train_points):
         raise ValueError(f"k must satisfy 1 <= k <= {len(train_points)}, got {k}")
-    sq = _sq_dists_to(train_points, query)
+    sq = _sq_dists(query[None, :], train_points)[0]
     order = np.argsort(sq, kind="stable")[:k]
     return _vote(train_labels[order], sq[order])
 
@@ -92,10 +93,7 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     if not 1 <= k <= n - 1:
         raise ValueError(f"leave-one-out with k={k} needs at least {k + 1} points, got {n}")
 
-    sq = np.zeros((n, n))
-    for j in range(points.shape[1]):
-        diff = points[:, j][:, None] - points[:, j][None, :]
-        sq += diff * diff
+    sq = _sq_dists(points, points)
     np.fill_diagonal(sq, np.inf)
     order = np.argsort(sq, axis=1, kind="stable")[:, :k]
 

@@ -83,16 +83,8 @@ def parse_int_list(value) -> list[int]:
     return out
 
 
-def _conv_float(v) -> float:
-    return float(v)
-
-
 def _conv_int(v) -> int:
     return int(str(v), 10) if not isinstance(v, int) else v
-
-
-def _conv_str(v) -> str:
-    return str(v)
 
 
 def _conv_format(v) -> str:
@@ -107,9 +99,9 @@ _COMMON = {
     "seed": (_conv_int, 0),
     "replicates": (_conv_int, 1),
     "format": (_conv_format, "csv"),
-    "out": (_conv_str, None),
+    "out": (str, None),
     "k": (_conv_int, 3),
-    "config": (_conv_str, None),
+    "config": (str, None),
 }
 
 _SBM_OPTS = {
@@ -119,8 +111,8 @@ _SBM_OPTS = {
 }
 
 _DATA_OPTS = {
-    "edge_list": (_conv_str, None),
-    "labels": (_conv_str, None),
+    "edge_list": (str, None),
+    "labels": (str, None),
     "n_hint": (_conv_int, None),
 }
 
@@ -129,8 +121,8 @@ _SUBCOMMANDS = {
         **_COMMON, **_SBM_OPTS,
         "n_list": (parse_int_list, None),
         "dim": (_conv_int, 2),
-        "alpha": (_conv_float, 0.1),
-        "delta": (_conv_float, 0.001),
+        "alpha": (float, 0.1),
+        "delta": (float, 0.001),
     },
     "privacy-grid": {
         **_COMMON, **_SBM_OPTS,
@@ -143,26 +135,26 @@ _SUBCOMMANDS = {
         **_COMMON, **_SBM_OPTS, **_DATA_OPTS,
         "n": (_conv_int, None),
         "dim": (parse_int_list, None),
-        "alpha": (_conv_float, 0.1),
-        "delta": (_conv_float, 0.01),
+        "alpha": (float, 0.1),
+        "delta": (float, 0.01),
     },
     "alpha-tradeoff": {
         **_COMMON, **_SBM_OPTS, **_DATA_OPTS,
         "n": (_conv_int, None),
         "dim": (_conv_int, 2),
         "alpha": (parse_float_list, None),
-        "delta": (_conv_float, 0.01),
+        "delta": (float, 0.01),
     },
     "embed": {
         **_COMMON, **_DATA_OPTS,
         "dim": (_conv_int, 2),
-        "alpha": (_conv_float, None),
-        "delta": (_conv_float, None),
+        "alpha": (float, None),
+        "delta": (float, None),
     },
     "classify": {
         **_COMMON,
-        "embedding": (_conv_str, None),
-        "labels": (_conv_str, None),
+        "embedding": (str, None),
+        "labels": (str, None),
     },
 }
 

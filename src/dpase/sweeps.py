@@ -1,12 +1,14 @@
 """Experiment sweeps: Monte Carlo replication over privacy parameters.
 
-Every sweep enumerates its parameter lists left to right with the
-replicate index innermost, and emits one record per cell per replicate
-in exactly that order. The random seed of a record is
-``base_seed + replicate``, so a given replicate reuses one stream across
-all cells: within a replicate of a simulation sweep the sampled graph at
-a given n is shared by every privacy cell (the non-private error is then
-constant across cells), while distinct replicates draw fresh graphs and
+Every sweep runs one engine over the Cartesian product of its parameter
+lists and the replicates, and emits one record per cell per replicate
+with the lists enumerated left to right and the replicate innermost.
+Replicate r seeds its stream with ``base_seed + r`` and realizes its
+graph at each n once; every (d, alpha, delta) cell then draws its noise
+from a copy of the stream as the graph draw left it. The plain reference
+(non-private embedding and error) is computed once per (graph, d), so it
+is shared by every privacy cell of a simulated replicate and by every
+replicate of a dataset graph. Distinct replicates draw fresh graphs and
 fresh noise. Runs are fully deterministic: the same configuration and
 base seed produce byte-identical output files.
 
@@ -17,8 +19,11 @@ sweep.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -57,11 +62,9 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SimulationSource:
-    """Draws a fresh blockmodel graph for every record."""
+    """Draws a fresh blockmodel graph per (n, replicate)."""
 
     params: SbmParams
-
-    fixed = False
 
     def realize(self, n: int, rng: np.random.Generator) -> LabeledGraph:
         return sample_sbm(self.params, n, rng)
@@ -73,63 +76,93 @@ class DatasetSource:
 
     graph: LabeledGraph
 
-    fixed = True
-
     def realize(self, n: int, rng: np.random.Generator) -> LabeledGraph:
         if n != self.graph.n:
             raise ValueError(f"dataset has {self.graph.n} vertices, requested {n}")
         return self.graph
 
 
-def _compute_record(
-    experiment: str,
-    source,
-    n: int,
-    d: int,
-    alpha: float,
-    delta: float,
-    k: int,
-    replicate: int,
-    base_seed: int,
-    cache: dict | None = None,
-) -> SweepRecord:
-    seed = base_seed + replicate
-    record = SweepRecord(
-        experiment=experiment, n=n, d=d, alpha=alpha, delta=delta,
-        k=k, replicate=replicate, seed=seed,
-    )
-    rng = np.random.default_rng(seed)
+class _PlainReferences:
+    """Plain embedding and LOOCV error per d of the latest graph, held weakly
+    so a replaced simulated graph is freed before the next one is drawn."""
+
+    def __init__(self):
+        self._graph = lambda: None
+        self._by_d: dict = {}
+
+    def get(self, graph: LabeledGraph, d: int, k: int) -> tuple[np.ndarray, float]:
+        if self._graph() is not graph:
+            self._graph, self._by_d = weakref.ref(graph), {}
+        if d not in self._by_d:
+            reference = ase(graph.adjacency, d)
+            error_ase = loocv_error(reference, graph.labels, k).error_rate
+            self._by_d[d] = (reference, error_ase)
+        return self._by_d[d]
+
+
+def _failed(record: SweepRecord, exc: ValueError) -> SweepRecord:
+    if isinstance(exc, CalibrationError):
+        return replace(record, status="calibration_error")
+    if isinstance(exc, np.linalg.LinAlgError):
+        return replace(record, status="eigen_error")
+    return replace(record, status="invalid_cell")
+
+
+def _cell(record: SweepRecord, graph: LabeledGraph, rng, plain) -> SweepRecord:
+    d, delta = record.d, record.delta
     try:
-        data = source.realize(n, rng)
         # Check calibration feasibility before budget range validation so an
         # unsatisfiable cell is tagged as such rather than as a bad budget.
         if delta > 0 and d / delta <= 1.0:
             raise CalibrationError(f"d/delta must exceed 1, got {d / delta!r}")
-        budget = PrivacyBudget(alpha, delta)
-        if cache is not None and source.fixed:
-            if d not in cache:
-                embedded = ase(data.adjacency, d)
-                cache[d] = (embedded, loocv_error(embedded, data.labels, k).error_rate)
-            reference, error_ase = cache[d]
-        else:
-            reference = ase(data.adjacency, d)
-            error_ase = loocv_error(reference, data.labels, k).error_rate
-        private = dp_ase(data.adjacency, d, budget, rng)
-        error_dp = loocv_error(private, data.labels, k).error_rate
+        budget = PrivacyBudget(record.alpha, delta)
+        reference, error_ase = plain.get(graph, d, record.k)
+        private = dp_ase(graph.adjacency, d, budget, rng)
+        error_dp = loocv_error(private, graph.labels, record.k).error_rate
         fnorm = procrustes_align(private, reference).aligned_distance
-    except CalibrationError:
-        return replace(record, status="calibration_error")
-    except np.linalg.LinAlgError:
-        return replace(record, status="eigen_error")
-    except ValueError:
-        return replace(record, status="invalid_cell")
+    except ValueError as exc:
+        return _failed(record, exc)
     return replace(
         record,
         error_dp=error_dp,
         error_ase=error_ase,
         fnorm=fnorm,
-        fnorm_per_vertex=fnorm / math.sqrt(n),
+        fnorm_per_vertex=fnorm / math.sqrt(record.n),
     )
+
+
+def _replicate(source, records: list[SweepRecord], plain) -> list[SweepRecord]:
+    """Realize the records' (n, replicate) graph once and fill in every cell."""
+    rng = np.random.default_rng(records[0].seed)
+    try:
+        graph = source.realize(records[0].n, rng)
+    except ValueError as exc:
+        return [_failed(record, exc) for record in records]
+    # Every cell draws its noise from a copy of the stream as the graph left it.
+    return [_cell(record, graph, copy.deepcopy(rng), plain) for record in records]
+
+
+def _sweep(
+    experiment: str, source, n_list, d_list, alpha_list, delta_list, k: int,
+    replicates: int, base_seed: int,
+) -> list[SweepRecord]:
+    """Every sweep: the lists' Cartesian product, replicate innermost."""
+    if any(not values for values in (n_list, d_list, alpha_list, delta_list)):
+        raise ValueError("sweep list must be nonempty")
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    cells = list(itertools.product(d_list, alpha_list, delta_list))
+    plain = _PlainReferences()
+    records = []
+    for n in n_list:
+        by_replicate = []
+        for rep in range(replicates):
+            seed = base_seed + rep
+            blank = [SweepRecord(experiment, n, *cell, k, rep, seed) for cell in cells]
+            by_replicate.append(_replicate(source, blank, plain))
+        # Regroup cell by cell, with the replicate innermost.
+        records.extend(record for row in zip(*by_replicate) for record in row)
+    return records
 
 
 def run_n_sweep(
@@ -143,12 +176,9 @@ def run_n_sweep(
     base_seed: int,
 ) -> list[SweepRecord]:
     """Fixed privacy budget, growing graphs: one record per (n, replicate)."""
-    _check_sweep(n_list, replicates)
-    return [
-        _compute_record("n-sweep", source, n, d, alpha, delta, k, rep, base_seed)
-        for n in n_list
-        for rep in range(replicates)
-    ]
+    return _sweep(
+        "n-sweep", source, n_list, [d], [alpha], [delta], k, replicates, base_seed
+    )
 
 
 def run_privacy_grid(
@@ -162,17 +192,10 @@ def run_privacy_grid(
     base_seed: int,
 ) -> list[SweepRecord]:
     """Full alpha x delta Cartesian grid at fixed n, replicated per cell."""
-    _check_sweep(alpha_list, replicates)
-    _check_sweep(delta_list, replicates)
-    cache: dict = {}
-    return [
-        _compute_record(
-            "privacy-grid", source, n, d, alpha, delta, k, rep, base_seed, cache
-        )
-        for alpha in alpha_list
-        for delta in delta_list
-        for rep in range(replicates)
-    ]
+    return _sweep(
+        "privacy-grid", source, [n], [d], alpha_list, delta_list, k, replicates,
+        base_seed,
+    )
 
 
 def run_dim_sweep(
@@ -186,13 +209,9 @@ def run_dim_sweep(
     base_seed: int,
 ) -> list[SweepRecord]:
     """Fixed budget, varying embedding dimension."""
-    _check_sweep(d_list, replicates)
-    cache: dict = {}
-    return [
-        _compute_record("dim-sweep", source, n, d, alpha, delta, k, rep, base_seed, cache)
-        for d in d_list
-        for rep in range(replicates)
-    ]
+    return _sweep(
+        "dim-sweep", source, [n], d_list, [alpha], [delta], k, replicates, base_seed
+    )
 
 
 def run_alpha_tradeoff(
@@ -206,22 +225,10 @@ def run_alpha_tradeoff(
     base_seed: int,
 ) -> list[SweepRecord]:
     """Fixed delta, varying alpha; the non-private error rides along."""
-    _check_sweep(alpha_list, replicates)
-    cache: dict = {}
-    return [
-        _compute_record(
-            "alpha-tradeoff", source, n, d, alpha, delta, k, rep, base_seed, cache
-        )
-        for alpha in alpha_list
-        for rep in range(replicates)
-    ]
-
-
-def _check_sweep(values, replicates: int) -> None:
-    if not values:
-        raise ValueError("sweep list must be nonempty")
-    if replicates < 1:
-        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    return _sweep(
+        "alpha-tradeoff", source, [n], [d], alpha_list, [delta], k, replicates,
+        base_seed,
+    )
 
 
 def _format_value(name: str, value) -> str:

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -23,6 +24,7 @@ from dpase import (
     run_privacy_grid,
     sample_sbm,
 )
+from dpase import sweeps
 
 
 def sim_source() -> SimulationSource:
@@ -160,6 +162,48 @@ class TestDatasetSource:
     def test_noise_still_varies_across_replicates(self):
         records = run_alpha_tradeoff(fixed_source(), 60, 2, [0.3], 0.01, 3, 4, 0)
         assert len({r.error_dp for r in records}) > 1 or len({r.fnorm for r in records}) > 1
+
+
+class TestReuse:
+    @staticmethod
+    def count_calls(monkeypatch, name: str) -> list:
+        calls = []
+        original = getattr(sweeps, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, name, counted)
+        return calls
+
+    def test_simulated_grid_draws_and_embeds_each_replicate_once(self, monkeypatch):
+        samples = self.count_calls(monkeypatch, "sample_sbm")
+        plain = self.count_calls(monkeypatch, "ase")
+        records = run_privacy_grid(sim_source(), 40, 2, [0.5, 1.0], [0.01, 0.1], 3, 3, 0)
+        assert len(records) == 12
+        assert len(samples) == 3
+        assert len(plain) == 3
+
+    def test_dataset_dim_sweep_embeds_each_dimension_once(self, monkeypatch):
+        plain = self.count_calls(monkeypatch, "ase")
+        records = run_dim_sweep(fixed_source(), 60, [2, 5], 0.5, 0.01, 3, 3, 0)
+        assert [r.status for r in records] == ["ok"] * 6
+        assert [args[1] for args in plain] == [2, 5]
+
+    def test_a_simulated_graph_is_freed_before_the_next_is_drawn(self, monkeypatch):
+        drawn = []
+
+        def sample(*args):
+            assert all(ref() is None for ref in drawn)
+            graph = sample_sbm(*args)
+            drawn.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(sweeps, "sample_sbm", sample)
+        records = run_n_sweep(sim_source(), [30, 40], 2, 0.5, 0.01, 3, 2, 0)
+        assert len(drawn) == 4
+        assert [r.status for r in records] == ["ok"] * 4
 
 
 class TestTrends:
