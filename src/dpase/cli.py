@@ -2,9 +2,14 @@
 
 Subcommands mirror the experiment families: ``simulate-sweep-n``,
 ``privacy-grid``, ``dim-sweep``, ``alpha-tradeoff``, plus the one-shot
-``embed`` and ``classify`` utilities. Options may also be supplied via a
-JSON config file (``--config``); values given as flags win over the
-file, which wins over built-in defaults.
+``embed`` and ``classify`` utilities. The four sweeps share one handler
+and differ only in the ``run_*`` function they call and the name of
+their size option. They simulate a blockmodel with K = len(``--pi``) blocks,
+and ``dim-sweep`` and ``alpha-tradeoff`` can instead run on a fixed graph
+given by ``--edge-list`` and ``--labels``. Each subcommand accepts only
+the options it reads. Options may also be supplied via a JSON config
+file (``--config``); values given as flags win over the file, which wins
+over built-in defaults.
 
 List-valued options (``--alpha``, ``--delta``, ``--dim``, ``--n-list``)
 accept a single value, a comma list ``a,b,c``, or a colon range
@@ -95,17 +100,13 @@ def _conv_format(v) -> str:
 
 
 # dest -> (converter, default); None default means optional-unless-listed
-_COMMON = {
+_SWEEP_OPTS = {
     "seed": (_conv_int, 0),
     "replicates": (_conv_int, 1),
     "format": (_conv_format, "csv"),
     "out": (str, None),
     "k": (_conv_int, 3),
     "config": (str, None),
-}
-
-_SBM_OPTS = {
-    "blocks": (_conv_int, None),
     "B": (parse_float_list, None),
     "pi": (parse_float_list, None),
 }
@@ -118,41 +119,47 @@ _DATA_OPTS = {
 
 _SUBCOMMANDS = {
     "simulate-sweep-n": {
-        **_COMMON, **_SBM_OPTS,
+        **_SWEEP_OPTS,
         "n_list": (parse_int_list, None),
         "dim": (_conv_int, 2),
         "alpha": (float, 0.1),
         "delta": (float, 0.001),
     },
     "privacy-grid": {
-        **_COMMON, **_SBM_OPTS,
+        **_SWEEP_OPTS,
         "n": (_conv_int, None),
         "dim": (_conv_int, 2),
         "alpha": (parse_float_list, None),
         "delta": (parse_float_list, None),
     },
     "dim-sweep": {
-        **_COMMON, **_SBM_OPTS, **_DATA_OPTS,
+        **_SWEEP_OPTS, **_DATA_OPTS,
         "n": (_conv_int, None),
         "dim": (parse_int_list, None),
         "alpha": (float, 0.1),
         "delta": (float, 0.01),
     },
     "alpha-tradeoff": {
-        **_COMMON, **_SBM_OPTS, **_DATA_OPTS,
+        **_SWEEP_OPTS, **_DATA_OPTS,
         "n": (_conv_int, None),
         "dim": (_conv_int, 2),
         "alpha": (parse_float_list, None),
         "delta": (float, 0.01),
     },
     "embed": {
-        **_COMMON, **_DATA_OPTS,
+        "seed": (_conv_int, 0),
+        "out": (str, None),
+        "config": (str, None),
+        "edge_list": (str, None),
+        "n_hint": (_conv_int, None),
         "dim": (_conv_int, 2),
         "alpha": (float, None),
         "delta": (float, None),
     },
     "classify": {
-        **_COMMON,
+        "out": (str, None),
+        "k": (_conv_int, 3),
+        "config": (str, None),
         "embedding": (str, None),
         "labels": (str, None),
     },
@@ -169,9 +176,8 @@ _FLAG_HELP = {
     "seed": "base seed; replicate r uses seed + r",
     "out": "output file path",
     "format": "output format: csv or json",
-    "blocks": "block count K (inferred from --pi when omitted)",
     "B": "row-major comma list of the K x K block probability matrix",
-    "pi": "comma list of block membership probabilities",
+    "pi": "comma list of block membership probabilities (K = its length)",
     "edge_list": "edge-list file ('u v' per line, '#' comments)",
     "labels": "label file (one class id per line)",
     "n_hint": "declared vertex count for the edge list",
@@ -201,14 +207,21 @@ def _resolve_options(command: str, given: dict) -> dict:
     if config_path:
         with open(config_path) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
         for key, value in loaded.items():
             if key not in table:
                 raise ValueError(f"unknown option {key!r} in config file")
+            if value is None:
+                raise ValueError(f"option {key!r} in config file must not be null")
             merged[key] = value
     merged.update(given)
     out = {}
     for dest, (converter, _) in table.items():
-        out[dest] = None if merged[dest] is None else converter(merged[dest])
+        try:
+            out[dest] = None if merged[dest] is None else converter(merged[dest])
+        except TypeError as exc:
+            raise ValueError(f"bad value for option {dest!r}: {exc}") from exc
     return out
 
 
@@ -222,7 +235,7 @@ def _require(opts: dict, *names: str) -> None:
 def _sbm_params(opts: dict) -> SbmParams:
     _require(opts, "B", "pi")
     pi = np.array(opts["pi"])
-    K = opts["blocks"] if opts["blocks"] is not None else len(pi)
+    K = len(pi)
     flat = np.array(opts["B"])
     if flat.size != K * K:
         raise ValueError(f"--B needs {K * K} entries for K={K}, got {flat.size}")
@@ -236,52 +249,21 @@ def _load_dataset(opts: dict) -> LabeledGraph:
     return LabeledGraph(adjacency=adjacency, labels=labels)
 
 
-def _build_source(opts: dict):
-    """Dataset flags select a fixed graph; otherwise SBM params + --n."""
+def _cmd_sweep(run, size: str, opts: dict) -> int:
+    """Run one sweep family; ``size`` names its vertex-count option.
+
+    ``--edge-list`` (where the subcommand accepts it) selects a fixed
+    graph; otherwise the graph is simulated from ``--B``/``--pi`` at the
+    size option.
+    """
+    _require(opts, "dim", "alpha", "delta", "out")
     if opts.get("edge_list") is not None:
         data = _load_dataset(opts)
-        return DatasetSource(data), data.n
-    _require(opts, "n")
-    return SimulationSource(_sbm_params(opts)), opts["n"]
-
-
-def _cmd_simulate_sweep_n(opts: dict) -> int:
-    _require(opts, "n_list", "out")
-    records = run_n_sweep(
-        SimulationSource(_sbm_params(opts)),
-        opts["n_list"], opts["dim"], opts["alpha"], opts["delta"],
-        opts["k"], opts["replicates"], opts["seed"],
-    )
-    emit_results(records, opts["format"], opts["out"])
-    return 0
-
-
-def _cmd_privacy_grid(opts: dict) -> int:
-    _require(opts, "n", "alpha", "delta", "out")
-    records = run_privacy_grid(
-        SimulationSource(_sbm_params(opts)),
-        opts["n"], opts["dim"], opts["alpha"], opts["delta"],
-        opts["k"], opts["replicates"], opts["seed"],
-    )
-    emit_results(records, opts["format"], opts["out"])
-    return 0
-
-
-def _cmd_dim_sweep(opts: dict) -> int:
-    _require(opts, "dim", "out")
-    source, n = _build_source(opts)
-    records = run_dim_sweep(
-        source, n, opts["dim"], opts["alpha"], opts["delta"],
-        opts["k"], opts["replicates"], opts["seed"],
-    )
-    emit_results(records, opts["format"], opts["out"])
-    return 0
-
-
-def _cmd_alpha_tradeoff(opts: dict) -> int:
-    _require(opts, "alpha", "out")
-    source, n = _build_source(opts)
-    records = run_alpha_tradeoff(
+        source, n = DatasetSource(data), data.n
+    else:
+        _require(opts, size)
+        source, n = SimulationSource(_sbm_params(opts)), opts[size]
+    records = run(
         source, n, opts["dim"], opts["alpha"], opts["delta"],
         opts["k"], opts["replicates"], opts["seed"],
     )
@@ -326,11 +308,13 @@ def _cmd_classify(opts: dict) -> int:
     return 0
 
 
+# The lambdas look the run_* names up when called, not at import, so a
+# wrapper installed on dpase.cli.run_* (for tracing or tests) is honoured.
 _HANDLERS = {
-    "simulate-sweep-n": _cmd_simulate_sweep_n,
-    "privacy-grid": _cmd_privacy_grid,
-    "dim-sweep": _cmd_dim_sweep,
-    "alpha-tradeoff": _cmd_alpha_tradeoff,
+    "simulate-sweep-n": lambda opts: _cmd_sweep(run_n_sweep, "n_list", opts),
+    "privacy-grid": lambda opts: _cmd_sweep(run_privacy_grid, "n", opts),
+    "dim-sweep": lambda opts: _cmd_sweep(run_dim_sweep, "n", opts),
+    "alpha-tradeoff": lambda opts: _cmd_sweep(run_alpha_tradeoff, "n", opts),
     "embed": _cmd_embed,
     "classify": _cmd_classify,
 }

@@ -155,6 +155,18 @@ def _parse_id(token: str, lineno: int, path: str, noun: str = "vertex id") -> in
         ) from None
 
 
+def _data_lines(path, what: str):
+    """Yield ``(lineno, stripped line)`` for each non-blank, non-``#`` line."""
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except OSError as exc:
+        raise EdgeListError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     """Read a whitespace-separated edge list into an adjacency matrix.
 
@@ -164,24 +176,17 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     error; otherwise the count is inferred from the largest id.
     """
     edges: list[tuple[int, int, int]] = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                tokens = line.split()
-                if len(tokens) != 2:
-                    raise EdgeListError(
-                        f"{path}:{lineno}: expected 'u v', got {line!r}"
-                    )
-                u = _parse_id(tokens[0], lineno, str(path))
-                v = _parse_id(tokens[1], lineno, str(path))
-                if u < 0 or v < 0:
-                    raise EdgeListError(f"{path}:{lineno}: negative vertex id")
-                edges.append((lineno, u, v))
-    except OSError as exc:
-        raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
+    for lineno, line in _data_lines(path, "edge list"):
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListError(
+                f"{path}:{lineno}: expected 'u v', got {line!r}"
+            )
+        u = _parse_id(tokens[0], lineno, str(path))
+        v = _parse_id(tokens[1], lineno, str(path))
+        if u < 0 or v < 0:
+            raise EdgeListError(f"{path}:{lineno}: negative vertex id")
+        edges.append((lineno, u, v))
 
     if not edges:
         if n_hint is None:
@@ -230,16 +235,10 @@ def load_labels(path, n: int) -> np.ndarray:
     in the file becomes class 1. The file must contain exactly ``n``
     non-blank, non-comment lines.
     """
-    raw: list[int] = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                raw.append(_parse_id(line, lineno, str(path), noun="class id"))
-    except OSError as exc:
-        raise EdgeListError(f"cannot read labels {path}: {exc}") from exc
+    raw = [
+        _parse_id(line, lineno, str(path), noun="class id")
+        for lineno, line in _data_lines(path, "labels")
+    ]
     if not raw:
         raise EdgeListError(f"{path}: empty label file")
     if len(raw) != n:

@@ -100,5 +100,7 @@ def dp_ase(
     A = validate_adjacency(A)
     n = A.shape[0]
     scale = calibrate_noise(n, d, budget)
-    E = sample_symmetric_noise(n, scale, rng)
-    return ase(A + E, d)
+    # Adding A into the noise in place keeps one n x n buffer alive, not two.
+    M = sample_symmetric_noise(n, scale, rng)
+    M += A
+    return ase(M, d)

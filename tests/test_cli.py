@@ -8,6 +8,7 @@ import pytest
 
 from dpase import load_edge_list, sample_sbm, SbmParams, write_edge_list
 from dpase.cli import main, parse_float_list, parse_int_list
+from dpase.sweeps import DatasetSource, SimulationSource
 
 SBM_FLAGS = ["--B", "0.3,0.1,0.1,0.2", "--pi", "0.4,0.6"]
 
@@ -127,6 +128,66 @@ class TestSweepCommands:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestSweepDispatch:
+    """Each sweep subcommand calls its ``dpase.cli.run_*`` name once.
+
+    The name is replaced after import, so these fail if dispatch binds
+    the function objects at import time.
+    """
+
+    @pytest.mark.parametrize("command, run_name, flags, expected", [
+        ("simulate-sweep-n", "run_n_sweep",
+         ["--n-list", "30,40", *SBM_FLAGS, "--dim", "3", "--alpha", "0.5",
+          "--delta", "0.02", "--k", "2", "--replicates", "4", "--seed", "7"],
+         ([30, 40], 3, 0.5, 0.02, 2, 4, 7)),
+        ("privacy-grid", "run_privacy_grid",
+         ["--n", "30", *SBM_FLAGS, "--alpha", "0.4,0.8", "--delta", "0.01,0.02"],
+         (30, 2, [0.4, 0.8], [0.01, 0.02], 3, 1, 0)),
+        ("dim-sweep", "run_dim_sweep",
+         ["--n", "30", *SBM_FLAGS, "--dim", "1,2", "--seed", "5"],
+         (30, [1, 2], 0.1, 0.01, 3, 1, 5)),
+        ("alpha-tradeoff", "run_alpha_tradeoff",
+         ["--n", "30", *SBM_FLAGS, "--alpha", "0.2,0.8", "--replicates", "2"],
+         (30, 2, [0.2, 0.8], 0.01, 3, 2, 0)),
+    ])
+    def test_simulated_sweep_calls_its_run_function(
+        self, tmp_path, monkeypatch, command, run_name, flags, expected
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "dpase.cli." + run_name, lambda *args: calls.append(args) or []
+        )
+        assert main([command, *flags, "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(calls) == 1
+        source, *rest = calls[0]
+        assert isinstance(source, SimulationSource)
+        assert np.array_equal(source.params.B, [[0.3, 0.1], [0.1, 0.2]])
+        assert np.array_equal(source.params.pi, [0.4, 0.6])
+        assert tuple(rest) == expected
+
+    @pytest.mark.parametrize("command, run_name, flags, expected", [
+        ("dim-sweep", "run_dim_sweep", ["--dim", "1,2"],
+         (24, [1, 2], 0.1, 0.01, 3, 1, 0)),
+        ("alpha-tradeoff", "run_alpha_tradeoff", ["--alpha", "0.3", "--n", "99"],
+         (24, 2, [0.3], 0.01, 3, 1, 0)),
+    ])
+    def test_edge_list_sweep_calls_its_run_function(
+        self, tmp_path, monkeypatch, command, run_name, flags, expected
+    ):
+        edges, labels, graph = write_fixture_graph(tmp_path)
+        calls = []
+        monkeypatch.setattr(
+            "dpase.cli." + run_name, lambda *args: calls.append(args) or []
+        )
+        assert main([command, "--edge-list", str(edges), "--labels", str(labels),
+                     *flags, "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(calls) == 1
+        source, *rest = calls[0]
+        assert isinstance(source, DatasetSource)
+        assert np.array_equal(source.graph.adjacency, graph.adjacency)
+        assert tuple(rest) == expected
+
+
 class TestEmbedAndClassify:
     def test_embed_plain_writes_one_row_per_vertex(self, tmp_path):
         edges, _, graph = write_fixture_graph(tmp_path)
@@ -243,6 +304,42 @@ class TestFailures:
         with pytest.raises(SystemExit) as info:
             main(["embed", "--bogus", "1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        *[("embed", flag) for flag in ("--k", "--labels", "--replicates", "--format")],
+        *[("classify", flag) for flag in ("--seed", "--replicates", "--format")],
+        *[(command, "--blocks") for command in (
+            "simulate-sweep-n", "privacy-grid", "dim-sweep", "alpha-tradeoff")],
+    ])
+    def test_options_a_subcommand_does_not_read_exit_2(self, command, flag):
+        with pytest.raises(SystemExit) as info:
+            main([command, flag, "2"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command, bad, name", [
+        ("simulate-sweep-n", {"alpha": None}, "alpha"),
+        ("simulate-sweep-n", {"alpha": [0.1]}, "alpha"),
+        ("simulate-sweep-n", {"pi": [[0.4], [0.6]]}, "pi"),
+        ("alpha-tradeoff", {"dim": None}, "dim"),
+        ("alpha-tradeoff", {"seed": None}, "seed"),
+    ])
+    def test_bad_config_value_exits_1_and_names_the_option(
+        self, tmp_path, capsys, command, bad, name
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n_list" if command == "simulate-sweep-n" else "n": 30,
+            "B": [0.3, 0.1, 0.1, 0.2], "pi": [0.4, 0.6], "alpha": 0.5,
+            "out": str(tmp_path / "x.csv"), **bad,
+        }))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert name in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["alpha-tradeoff", "--config", str(cfg)]) == 1
+        assert "JSON object" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["alpha-tradeoff", "--config", str(tmp_path / "no.json")])

@@ -224,6 +224,10 @@ class TestEdgeListIO:
         with pytest.raises(EdgeListError, match="cannot read"):
             load_edge_list(tmp_path / "missing.txt")
 
+    def test_unreadable_labels_file(self, tmp_path):
+        with pytest.raises(EdgeListError, match="cannot read labels"):
+            load_labels(tmp_path / "missing.labels", 3)
+
     def test_write_then_load_round_trip(self, tmp_path):
         graph = sample_sbm(two_block_params(), 40, np.random.default_rng(5))
         assert graph.adjacency[0].sum() > 0  # vertex 0 keeps the base detectable

@@ -151,6 +151,14 @@ class TestDpAse:
         X2 = dp_ase(graph.adjacency, 2, budget, np.random.default_rng(11))
         assert np.array_equal(X1, X2)
 
+    def test_perturbed_matrix_is_embedded_as_is(self):
+        graph = sample_sbm(two_block_params(), 40, np.random.default_rng(17))
+        A, budget = graph.adjacency, PrivacyBudget(0.5, 0.01)
+        scale = calibrate_noise(40, 2, budget)
+        E = sample_symmetric_noise(40, scale, np.random.default_rng(18))
+        X = dp_ase(A, 2, budget, np.random.default_rng(18))
+        assert np.array_equal(X, ase(A + E, 2))
+
     def test_distinct_seeds_give_distinct_embeddings(self):
         graph = sample_sbm(two_block_params(), 40, np.random.default_rng(12))
         budget = PrivacyBudget(0.5, 0.01)
