@@ -20,6 +20,7 @@ lattice within 1e-12.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,7 +30,6 @@ import numpy as np
 from .classify import loocv_error
 from .embedding import ase
 from .graphs import (
-    EdgeListError,
     LabeledGraph,
     SbmParams,
     load_edge_list,
@@ -106,7 +106,6 @@ _SWEEP_OPTS = {
     "format": (_conv_format, "csv"),
     "out": (str, None),
     "k": (_conv_int, 3),
-    "config": (str, None),
     "B": (parse_float_list, None),
     "pi": (parse_float_list, None),
 }
@@ -149,7 +148,6 @@ _SUBCOMMANDS = {
     "embed": {
         "seed": (_conv_int, 0),
         "out": (str, None),
-        "config": (str, None),
         "edge_list": (str, None),
         "n_hint": (_conv_int, None),
         "dim": (_conv_int, 2),
@@ -159,7 +157,6 @@ _SUBCOMMANDS = {
     "classify": {
         "out": (str, None),
         "k": (_conv_int, 3),
-        "config": (str, None),
         "embedding": (str, None),
         "labels": (str, None),
     },
@@ -194,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, options in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(command, argument_default=argparse.SUPPRESS)
-        for dest in options:
+        for dest in ("config", *options):
             flag = "--" + dest.replace("_", "-")
             sub.add_argument(flag, dest=dest, type=str, help=_FLAG_HELP.get(dest))
     return parser
@@ -203,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_options(command: str, given: dict) -> dict:
     table = _SUBCOMMANDS[command]
     merged = {dest: default for dest, (_, default) in table.items()}
-    config_path = given.get("config", merged.get("config"))
+    config_path = given.pop("config", None)
     if config_path:
         with open(config_path) as fh:
             loaded = json.load(fh)
@@ -212,15 +209,15 @@ def _resolve_options(command: str, given: dict) -> dict:
         for key, value in loaded.items():
             if key not in table:
                 raise ValueError(f"unknown option {key!r} in config file")
-            if value is None:
-                raise ValueError(f"option {key!r} in config file must not be null")
+            if value is None or isinstance(value, bool):
+                raise ValueError(f"option {key!r} in config file must not be {json.dumps(value)}")
             merged[key] = value
     merged.update(given)
     out = {}
     for dest, (converter, _) in table.items():
         try:
             out[dest] = None if merged[dest] is None else converter(merged[dest])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad value for option {dest!r}: {exc}") from exc
     return out
 
@@ -291,15 +288,7 @@ def _cmd_classify(opts: dict) -> int:
     positions = np.loadtxt(opts["embedding"], delimiter=",", ndmin=2)
     labels = load_labels(opts["labels"], len(positions))
     report = loocv_error(positions, labels, opts["k"])
-    payload = json.dumps(
-        {
-            "error_rate": report.error_rate,
-            "n_evaluated": report.n_evaluated,
-            "k": report.k,
-            "chance_error": report.chance_error,
-        },
-        indent=2,
-    )
+    payload = json.dumps(dataclasses.asdict(report), indent=2)
     if opts["out"]:
         with open(opts["out"], "w", newline="\n") as fh:
             fh.write(payload + "\n")
@@ -326,7 +315,7 @@ def main(argv=None) -> int:
     try:
         opts = _resolve_options(args.command, given)
         return _HANDLERS[args.command](opts)
-    except (ValueError, EdgeListError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"dpase: error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 
 SYMMETRY_TOL = 1e-12
 PI_SUM_TOL = 1e-12
+_ID_CAP = np.iinfo(np.int64).max
 
 
 class EdgeListError(ValueError):
@@ -131,18 +132,17 @@ def sample_sbm(params: SbmParams, n: int, rng: np.random.Generator) -> LabeledGr
 
     Labels are drawn i.i.d. from ``params.pi``; for each vertex pair
     i < j an edge is present independently with probability
-    ``B[label_i, label_j]``. The matrix is symmetrized from the upper
-    triangle and the diagonal is zero. Two calls with an identically
-    seeded ``rng`` produce bit-identical graphs.
+    ``B[label_i, label_j]``. The diagonal is zero. Two calls with an
+    identically seeded ``rng`` produce bit-identical graphs.
     """
     labels = sample_block_labels(params, n, rng)
     idx = labels - 1
     A = np.zeros((n, n))
-    # Row-chunked upper-triangle sampling keeps peak memory at O(n) beyond A.
+    # Each row's upper-triangle draw is written to the row and its mirror
+    # column at once, so A is the only n x n buffer and memory beyond it is O(n).
     for i in range(n - 1):
         probs = params.B[idx[i], idx[i + 1:]]
-        A[i, i + 1:] = rng.random(n - 1 - i) < probs
-    A = A + A.T
+        A[i, i + 1:] = A[i + 1:, i] = rng.random(n - 1 - i) < probs
     return LabeledGraph(adjacency=A, labels=labels)
 
 
@@ -175,7 +175,8 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     fixes the vertex count and any id outside the valid range is an
     error; otherwise the count is inferred from the largest id.
     """
-    edges: list[tuple[int, int, int]] = []
+    linenos: list[int] = []
+    pairs: list[int] = []
     for lineno, line in _data_lines(path, "edge list"):
         tokens = line.split()
         if len(tokens) != 2:
@@ -186,35 +187,40 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
         v = _parse_id(tokens[1], lineno, str(path))
         if u < 0 or v < 0:
             raise EdgeListError(f"{path}:{lineno}: negative vertex id")
-        edges.append((lineno, u, v))
+        linenos.append(lineno)
+        pairs += (u, v)
 
-    if not edges:
+    if not pairs:
         if n_hint is None:
             raise EdgeListError(f"{path}: no edges and no vertex-count hint")
         return np.zeros((n_hint, n_hint))
 
-    min_id = min(min(u, v) for _, u, v in edges)
+    try:
+        ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        # An id past int64 fits no matrix; capped, it fails the size checks below.
+        ids = np.array([min(i, _ID_CAP) for i in pairs], dtype=np.int64).reshape(-1, 2)
+    del pairs  # the id objects cost several times the array; free them before A
+    min_id = ids.min()
     offset = 0 if min_id == 0 else 1
     if min_id == 1:
         log.info("%s: minimum vertex id is 1 and 0 never appears; treating ids as 1-based", path)
 
-    max_id = max(max(u, v) for _, u, v in edges)
-    n = n_hint if n_hint is not None else max_id + 1 - offset
+    ids -= offset
+    n = n_hint if n_hint is not None else int(ids.max()) + 1
+    # Sized before the bounds check, so an unusable n (negative, or too
+    # large to allocate) is reported ahead of any out-of-range line.
     A = np.zeros((n, n))
-    self_loops = 0
-    for lineno, u, v in edges:
-        u -= offset
-        v -= offset
-        if u >= n or v >= n or u < 0 or v < 0:
-            raise EdgeListError(
-                f"{path}:{lineno}: vertex id exceeds declared count {n}"
-            )
-        if u == v:
-            self_loops += 1
-            continue
-        A[u, v] = 1.0
-        A[v, u] = 1.0
+    outside = np.flatnonzero((ids >= n).any(axis=1))
+    if outside.size:
+        raise EdgeListError(
+            f"{path}:{linenos[outside[0]]}: vertex id exceeds declared count {n}"
+        )
+    u, v = ids.T
+    A[u, v] = A[v, u] = 1.0
+    self_loops = np.count_nonzero(u == v)
     if self_loops:
+        np.fill_diagonal(A, 0.0)
         log.warning("%s: dropped %d self-loop(s)", path, self_loops)
     return validate_adjacency(A)
 

@@ -72,18 +72,20 @@ def sample_symmetric_noise(
 
     The upper triangle including the diagonal is drawn i.i.d. from
     N(0, beta_sq) and mirrored, so every entry keeps variance exactly
-    beta_sq (averaging two independent draws would halve it).
+    beta_sq (averaging two independent draws would halve it). Row i's
+    ``n - i`` draws go to ``E[i, i:]`` and ``E[i:, i]`` in one statement,
+    so the stream is consumed in row-major upper-triangle order and the
+    only n x n allocation is the result.
     """
     beta_sq = scale.beta_sq if isinstance(scale, NoiseScale) else float(scale)
     if not beta_sq > 0:
         raise ValueError(f"noise variance must be positive, got {beta_sq}")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
-    rows, cols = np.triu_indices(n)
-    draws = rng.normal(0.0, math.sqrt(beta_sq), size=rows.size)
-    E = np.zeros((n, n))
-    E[rows, cols] = draws
-    E[cols, rows] = draws
+    sd = math.sqrt(beta_sq)
+    E = np.empty((n, n))
+    for i in range(n):
+        E[i, i:] = E[i:, i] = rng.normal(0.0, sd, n - i)
     return E
 
 

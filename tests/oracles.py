@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test:
 eigenvalues come from characteristic-polynomial root isolation instead
 of LAPACK, nearest-neighbor answers from a pure-Python exhaustive sort,
-and Procrustes optima from a dense grid over all 2x2 orthogonal maps.
+Procrustes optima from a dense grid over all 2x2 orthogonal maps, and
+symmetric random matrices from a whole upper triangle mirrored after
+the fact instead of row by row in place.
 """
 
 from __future__ import annotations
@@ -175,3 +177,29 @@ def grid_procrustes_distance(X, Y, step: float = 1e-5) -> float:
     best = max(trace_rot.max(), trace_ref.max())
     gap = (X * X).sum() + (Y * Y).sum() - 2.0 * best
     return math.sqrt(max(gap, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# symmetric random matrices: draw the upper triangle, then mirror it
+
+def triu_scatter_noise(n: int, beta_sq: float, rng) -> np.ndarray:
+    """Symmetric N(0, beta_sq) noise from one draw of the upper triangle
+    (diagonal included, row-major order) scattered through index arrays."""
+    rows, cols = np.triu_indices(n)
+    draws = rng.normal(0.0, math.sqrt(beta_sq), size=rows.size)
+    E = np.zeros((n, n))
+    E[rows, cols] = draws
+    E[cols, rows] = draws
+    return E
+
+
+def transpose_sum_sbm(B, pi, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Blockmodel adjacency and 1-based labels: labels from ``pi``, then
+    each row's strict upper triangle from ``B``, symmetrized as U + U^T."""
+    B = np.asarray(B, dtype=float)
+    labels = rng.choice(len(pi), size=n, p=pi) + 1
+    idx = labels - 1
+    upper = np.zeros((n, n))
+    for i in range(n - 1):
+        upper[i, i + 1:] = rng.random(n - 1 - i) < B[idx[i], idx[i + 1:]]
+    return upper + upper.T, labels

@@ -322,6 +322,8 @@ class TestFailures:
         ("simulate-sweep-n", {"pi": [[0.4], [0.6]]}, "pi"),
         ("alpha-tradeoff", {"dim": None}, "dim"),
         ("alpha-tradeoff", {"seed": None}, "seed"),
+        ("alpha-tradeoff", {"k": True, "replicates": True}, "'k'"),
+        ("simulate-sweep-n", {"alpha": True}, "alpha"),
     ])
     def test_bad_config_value_exits_1_and_names_the_option(
         self, tmp_path, capsys, command, bad, name
@@ -334,6 +336,18 @@ class TestFailures:
         }))
         assert main([command, "--config", str(cfg)]) == 1
         assert name in capsys.readouterr().err
+
+    def test_config_file_cannot_name_another_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"config": str(tmp_path / "other.json")}))
+        assert main(["alpha-tradeoff", "--config", str(cfg)]) == 1
+        assert "unknown option 'config'" in capsys.readouterr().err
+
+    def test_unparsable_flag_value_names_the_option(self, tmp_path, capsys):
+        code = main(["privacy-grid", "--n", "abc", *SBM_FLAGS, "--alpha", "0.5",
+                     "--delta", "0.01", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "option 'n'" in capsys.readouterr().err
 
     def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 
+import oracles
+from conftest import traced_peak
 from dpase import (
     EdgeListError,
     LabeledGraph,
@@ -109,6 +111,22 @@ class TestSampleSbm:
         assert np.array_equal(g1.adjacency, g2.adjacency)
         assert np.array_equal(g1.labels, g2.labels)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_bit_equal_to_upper_triangle_plus_transpose(self, n):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        graph = sample_sbm(two_block_params(), n, rng)
+        A, labels = oracles.transpose_sum_sbm(B_TWO_BLOCK, PI_TWO_BLOCK, n, ref_rng)
+        assert graph.adjacency.tobytes() == A.tobytes()
+        assert np.array_equal(graph.labels, labels)
+        assert rng.random() == ref_rng.random()  # same share of the stream used
+
+    def test_peak_memory_is_about_one_matrix(self):
+        n = 400
+        peak = traced_peak(lambda: sample_sbm(two_block_params(), n, np.random.default_rng(0)))
+        # A itself plus validate_adjacency's three n x n bool temporaries is
+        # 1.375 n^2 float64; a second n x n float buffer would make it 2.
+        assert peak <= 1.45 * n * n * 8
+
     def test_labels_share_the_stream_with_label_sampler(self):
         params = two_block_params()
         graph = sample_sbm(params, 500, np.random.default_rng(21))
@@ -207,6 +225,28 @@ class TestEdgeListIO:
         path.write_text("0 1\n0 9\n")
         with pytest.raises(EdgeListError, match=r"overflow\.txt:2"):
             load_edge_list(path, n_hint=3)
+
+    def test_first_out_of_range_line_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "many.txt"
+        path.write_text("0 1\n2 1\n1 3\n9 0\n0 5\n")
+        message = r"many\.txt:3: vertex id exceeds declared count 3$"
+        with pytest.raises(EdgeListError, match=message):
+            load_edge_list(path, n_hint=3)
+
+    def test_id_past_int64_is_out_of_range(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("0 1\n0 99999999999999999999\n")
+        with pytest.raises(EdgeListError, match=r"huge\.txt:2"):
+            load_edge_list(path, n_hint=3)
+
+    def test_one_based_duplicates_and_self_loops(self, tmp_path, caplog):
+        path = tmp_path / "mixed.txt"
+        path.write_text("1 2\n2 1\n3 3\n2 3\n3 2\n1 1\n3 3\n")
+        with caplog.at_level(logging.WARNING):
+            A = load_edge_list(path)
+        expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+        assert np.array_equal(A, expected)
+        assert "dropped 3 self-loop(s)" in caplog.text
 
     def test_non_integer_token_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import oracles
+from conftest import traced_peak
 from dpase import (
     CalibrationError,
     PrivacyBudget,
@@ -111,6 +113,18 @@ class TestSampleSymmetricNoise:
             sample_symmetric_noise(10, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             sample_symmetric_noise(10, -1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_bit_equal_to_whole_triangle_draw_mirrored(self, n):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        E = sample_symmetric_noise(n, 0.3, rng)
+        assert E.tobytes() == oracles.triu_scatter_noise(n, 0.3, ref_rng).tobytes()
+        assert rng.random() == ref_rng.random()  # same share of the stream used
+
+    def test_peak_memory_is_the_result_matrix(self):
+        n = 400
+        peak = traced_peak(lambda: sample_symmetric_noise(n, 0.3, np.random.default_rng(0)))
+        assert peak <= 1.1 * n * n * 8
 
     def test_off_diagonal_variance_in_chi_square_band(self):
         # 124750 strictly-upper entries at beta_sq = 0.25: the scaled
