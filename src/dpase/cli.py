@@ -69,6 +69,9 @@ def _expand_range(text: str) -> list[float]:
 
 def parse_float_list(value) -> list[float]:
     if isinstance(value, (list, tuple)):
+        for v in value:
+            if isinstance(v, bool):
+                raise ValueError(f"list items must be numbers, got {json.dumps(v)}")
         return [float(v) for v in value]
     text = str(value).strip()
     if ":" in text:

@@ -175,6 +175,8 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     fixes the vertex count and any id outside the valid range is an
     error; otherwise the count is inferred from the largest id.
     """
+    if n_hint is not None and n_hint < 0:
+        raise EdgeListError(f"{path}: vertex-count hint must be nonnegative, got {n_hint}")
     linenos: list[int] = []
     pairs: list[int] = []
     for lineno, line in _data_lines(path, "edge list"):
@@ -208,8 +210,8 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
 
     ids -= offset
     n = n_hint if n_hint is not None else int(ids.max()) + 1
-    # Sized before the bounds check, so an unusable n (negative, or too
-    # large to allocate) is reported ahead of any out-of-range line.
+    # Sized before the bounds check, so an n too large to allocate is
+    # reported ahead of any out-of-range line.
     A = np.zeros((n, n))
     outside = np.flatnonzero((ids >= n).any(axis=1))
     if outside.size:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test:
 eigenvalues come from characteristic-polynomial root isolation instead
-of LAPACK, nearest-neighbor answers from a pure-Python exhaustive sort,
+of LAPACK, large-matrix eigenpairs from a full dense decomposition
+instead of Lanczos iteration, nearest-neighbor answers from a pure-Python exhaustive sort,
 Procrustes optima from a dense grid over all 2x2 orthogonal maps, and
 symmetric random matrices from a whole upper triangle mirrored after
 the fact instead of row by row in place.
@@ -106,6 +107,24 @@ def magnitude_sort(values, d: int | None = None) -> list[float]:
     optionally truncated to the first d."""
     ordered = sorted(values, key=lambda v: (-abs(v), v < 0))
     return ordered if d is None else ordered[:d]
+
+
+def dense_top_d(M, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-d eigenpairs by magnitude from a full dense decomposition.
+
+    Ordered by descending |value|, positive first on magnitude ties, then
+    by ascending position; each vector's sign is flipped so that its first
+    largest-|entry| component is positive.
+    """
+    w, V = np.linalg.eigh(np.asarray(M, dtype=float))
+    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), w[i] < 0, i))[:d]
+    values, vectors = w[order], V[:, order].copy()
+    for col in range(d):
+        column = vectors[:, col]
+        lead = max(range(len(column)), key=lambda i: (abs(column[i]), -i))
+        if column[lead] < 0:
+            vectors[:, col] = -column
+    return values, vectors
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from dpase import load_edge_list, sample_sbm, SbmParams, write_edge_list
 from dpase.cli import main, parse_float_list, parse_int_list
@@ -213,6 +214,28 @@ class TestEmbedAndClassify:
         assert code == 1
         assert "--delta" in capsys.readouterr().err
 
+    def test_embed_exits_1_when_the_eigensolver_does_not_converge(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def stuck(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
+        edges, _, _ = write_fixture_graph(tmp_path, n=1000)
+        out = tmp_path / "x.csv"
+        assert main(["embed", "--edge-list", str(edges), "--dim", "2",
+                     "--out", str(out)]) == 1
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_embed_rejects_a_negative_n_hint(self, tmp_path, capsys):
+        edges, _, _ = write_fixture_graph(tmp_path)
+        code = main(["embed", "--edge-list", str(edges), "--n-hint", "-1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "graph.edges" in err and "hint" in err and "-1" in err
+
     def test_classify_reports_loocv_error(self, tmp_path, capsys):
         emb = tmp_path / "emb.csv"
         np.savetxt(emb, [[0.0, 0], [0, 1], [5, 5], [5, 6]], delimiter=",")
@@ -324,6 +347,8 @@ class TestFailures:
         ("alpha-tradeoff", {"seed": None}, "seed"),
         ("alpha-tradeoff", {"k": True, "replicates": True}, "'k'"),
         ("simulate-sweep-n", {"alpha": True}, "alpha"),
+        ("alpha-tradeoff", {"alpha": [True, 0.5]}, "'alpha'"),
+        ("dim-sweep", {"dim": [2, False]}, "'dim'"),
     ])
     def test_bad_config_value_exits_1_and_names_the_option(
         self, tmp_path, capsys, command, bad, name

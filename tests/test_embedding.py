@@ -1,17 +1,28 @@
 """Eigendecomposition, spectral embedding, and Procrustes alignment."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import dpase
 import oracles
 from dpase import (
+    PrivacyBudget,
     SbmParams,
     ase,
+    calibrate_noise,
     frobenius_distance,
     procrustes_align,
     sample_sbm,
+    sample_symmetric_noise,
     top_d_eigen,
 )
+from dpase.embedding import LANCZOS_MIN_N
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
 # roots of the characteristic polynomial of B_TWO_BLOCK (quadratic formula)
@@ -91,6 +102,98 @@ class TestTopDEigen:
             M = random_symmetric(n, rng)
             pairs = top_d_eigen(M, n)
             assert abs(pairs.values.sum() - np.trace(M)) < 1e-8
+
+
+def count_eigsh_calls(monkeypatch) -> list:
+    """Route scipy's eigsh through a spy; the returned list grows per call."""
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
+
+
+def assert_sign_rule(vectors: np.ndarray) -> None:
+    lead = np.argmax(np.abs(vectors), axis=0)
+    assert np.all(vectors[lead, np.arange(vectors.shape[1])] > 0)
+
+
+@pytest.fixture(scope="module", params=[None, 0.1, 0.001], ids=["A", "A+E", "A+E-tight"])
+def lanczos_case(request):
+    """A blockmodel matrix at the Lanczos threshold, plain or privatized at
+    alpha (delta = 0.001), with its dense top-10 reference."""
+    n = LANCZOS_MIN_N
+    params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
+    M = sample_sbm(params, n, np.random.default_rng(40)).adjacency.copy()
+    if request.param is not None:
+        scale = calibrate_noise(n, 2, PrivacyBudget(request.param, 0.001))
+        M += sample_symmetric_noise(n, scale, np.random.default_rng(41))
+    return M, oracles.dense_top_d(M, 10)
+
+
+class TestLanczosPath:
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_matches_dense_reference_entrywise(self, monkeypatch, lanczos_case, d):
+        M, (ref_values, ref_vectors) = lanczos_case
+        calls = count_eigsh_calls(monkeypatch)
+        pairs = top_d_eigen(M, d)
+        assert len(calls) == 1
+        scale = abs(ref_values[0])
+        assert np.abs(pairs.values - ref_values[:d]).max() <= 1e-10 * scale
+        X = pairs.vectors * np.sqrt(np.abs(pairs.values))
+        X_ref = ref_vectors[:, :d] * np.sqrt(np.abs(ref_values[:d]))
+        assert np.abs(X - X_ref).max() <= 1e-10 * np.abs(X_ref).max()
+
+    def test_sign_rule_on_both_paths(self, monkeypatch, lanczos_case):
+        M, _ = lanczos_case
+        calls = count_eigsh_calls(monkeypatch)
+        assert_sign_rule(top_d_eigen(M, 10).vectors)
+        assert len(calls) == 1
+        small = random_symmetric(300, np.random.default_rng(42))
+        assert_sign_rule(top_d_eigen(small, 10).vectors)
+        assert len(calls) == 1
+
+    def test_repeat_calls_are_bit_identical(self, lanczos_case):
+        M, _ = lanczos_case
+        first, second = top_d_eigen(M, 2), top_d_eigen(M, 2)
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.vectors, second.vectors)
+
+    @pytest.mark.parametrize("n, d, lanczos", [
+        (LANCZOS_MIN_N, 2, True),
+        (LANCZOS_MIN_N - 1, 2, False),
+        (LANCZOS_MIN_N, LANCZOS_MIN_N // 2, False),
+    ])
+    def test_dense_path_below_threshold_or_for_half_the_spectrum(
+        self, monkeypatch, n, d, lanczos
+    ):
+        calls = count_eigsh_calls(monkeypatch)
+        top_d_eigen(random_symmetric(n, np.random.default_rng(43)), d)
+        assert len(calls) == int(lanczos)
+
+    def test_non_convergence_raises_linalg_error(self, monkeypatch, lanczos_case):
+        M, _ = lanczos_case
+
+        def stuck(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            top_d_eigen(M, 2)
+
+    def test_importing_the_cli_leaves_scipy_sparse_unloaded(self):
+        src = Path(dpase.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, dpase.cli; print('scipy.sparse' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestAse:

@@ -220,6 +220,13 @@ class TestEdgeListIO:
         A = load_edge_list(path, n_hint=5)
         assert A.shape == (5, 5)
 
+    @pytest.mark.parametrize("text", ["0 1\n", "# no edges\n"])
+    def test_negative_hint_names_file_and_hint(self, tmp_path, text):
+        path = tmp_path / "hinted.txt"
+        path.write_text(text)
+        with pytest.raises(EdgeListError, match=r"hinted\.txt: vertex-count hint .* -1$"):
+            load_edge_list(path, n_hint=-1)
+
     def test_id_beyond_hint_reports_line(self, tmp_path):
         path = tmp_path / "overflow.txt"
         path.write_text("0 1\n0 9\n")

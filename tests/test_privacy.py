@@ -206,6 +206,17 @@ class TestDpAse:
 
         assert mean_gap(800) < mean_gap(100)
 
+    def test_peak_memory_at_lanczos_size_is_about_one_matrix(self):
+        # The noise matrix plus small blocks of the input checks and the
+        # Lanczos work arrays; a second n x n buffer would make it 2.
+        n = 1000
+        graph = sample_sbm(two_block_params(), n, np.random.default_rng(19))
+        budget = PrivacyBudget(0.1, 0.001)
+        peak = traced_peak(
+            lambda: dp_ase(graph.adjacency, 2, budget, np.random.default_rng(20))
+        )
+        assert peak <= 1.3 * n * n * 8
+
     def test_rejects_invalid_adjacency(self):
         bad = np.array([[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 import scipy.stats
 
 from dpase import (
@@ -148,6 +149,25 @@ class TestFailureTagging:
         by_d = {r.d: r for r in records}
         assert by_d[2].status == "ok"
         assert by_d[50].status == "invalid_cell"
+
+    def test_lanczos_non_convergence_is_tagged_and_isolated(self, monkeypatch):
+        # The private solve at n = 1000 fails to converge; the n = 1100
+        # cell and both plain references still compute.
+        real = scipy.sparse.linalg.eigsh
+
+        def flaky(M, **kwargs):
+            if M.shape[0] == 1000 and not np.all((M == 0.0) | (M == 1.0)):
+                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+            return real(M, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
+        records = run_n_sweep(sim_source(), [1000, 1100], 2, 0.5, 0.01, 3, 1, 0)
+        by_n = {r.n: r for r in records}
+        assert by_n[1000].status == "eigen_error"
+        assert by_n[1000].error_dp is None
+        assert by_n[1000].fnorm is None
+        assert by_n[1100].status == "ok"
+        assert by_n[1100].error_dp is not None
 
     def test_dataset_size_mismatch_is_tagged(self):
         records = run_dim_sweep(fixed_source(n=40), 99, [2], 0.5, 0.01, 3, 1, 0)
