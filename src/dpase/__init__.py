@@ -1,5 +1,6 @@
 """Differentially private adjacency spectral embedding for blockmodels."""
 
+from ._shared import ParameterRangeError
 from .classify import ErrorReport, chance_error, knn_predict, loocv_error
 from .embedding import (
     AlignmentResult,
@@ -52,6 +53,7 @@ __all__ = [
     "ErrorReport",
     "LabeledGraph",
     "NoiseScale",
+    "ParameterRangeError",
     "PrivacyBudget",
     "SbmParams",
     "SimulationSource",

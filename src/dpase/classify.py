@@ -5,6 +5,13 @@ identical distance rank by ascending vertex index; among vote-tied
 classes the one whose nearest voting member is closest wins, and a
 residual tie goes to the smallest class id. Comparisons use squared
 distances throughout so the ordering is exact.
+
+Leave-one-out evaluation never holds the n x n distance matrix: it walks
+row blocks of about ``BLOCK_ENTRIES / n`` rows, so its memory is
+O(block * n). Each block's k nearest come from a partial sort, and every
+candidate tied with the k-th distance is kept and ranked by (distance,
+index) before the cut, so the tie rules above hold exactly as a full
+sort would apply them.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._shared import ParameterRangeError, row_blocks
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,22 @@ def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nearest_k(sq: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k nearest, ranked by (distance, index).
+
+    A partial sort finds each row's k-th smallest distance; every column
+    at or below it is a candidate, so a tie across the cut is kept. The
+    candidates come out row-major with ascending columns, and a stable
+    sort by (row, distance) keeps that column order among equal distances.
+    """
+    kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(sq <= kth)
+    ranked = cols[np.lexsort((sq[rows, cols], rows))]
+    counts = np.bincount(rows, minlength=len(sq))
+    starts = np.cumsum(counts) - counts
+    return ranked[starts[:, None] + np.arange(k)]
+
+
 def _vote(neighbor_labels: np.ndarray, neighbor_sq_dists: np.ndarray) -> int:
     counts: dict[int, int] = {}
     nearest: dict[int, float] = {}
@@ -54,6 +79,13 @@ def _vote(neighbor_labels: np.ndarray, neighbor_sq_dists: np.ndarray) -> int:
     top = max(counts.values())
     tied = [label for label, c in counts.items() if c == top]
     return min(tied, key=lambda label: (nearest[label], label))
+
+
+def _require_finite(points: np.ndarray) -> None:
+    # A NaN distance compares false with the k-th one, so its row would
+    # yield fewer than k candidates.
+    if not np.isfinite(points).all():
+        raise ValueError("point coordinates must be finite")
 
 
 def knn_predict(
@@ -75,14 +107,22 @@ def knn_predict(
             f"query shape {query.shape} does not match dimension {train_points.shape[1]}"
         )
     if not 1 <= k <= len(train_points):
-        raise ValueError(f"k must satisfy 1 <= k <= {len(train_points)}, got {k}")
-    sq = _sq_dists(query[None, :], train_points)[0]
-    order = np.argsort(sq, kind="stable")[:k]
-    return _vote(train_labels[order], sq[order])
+        raise ParameterRangeError(f"k must satisfy 1 <= k <= {len(train_points)}, got {k}")
+    _require_finite(train_points)
+    _require_finite(query)
+    sq = _sq_dists(query[None, :], train_points)
+    neighbors = _nearest_k(sq, k)[0]
+    return _vote(train_labels[neighbors], sq[0, neighbors])
 
 
 def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
-    """Leave-one-out kNN error: predict each point from all the others."""
+    """Leave-one-out kNN error: predict each point from all the others.
+
+    Distances are computed one row block at a time, so memory beyond the
+    inputs is O(block * n) with blocks of about ``BLOCK_ENTRIES / n``
+    rows, never n x n. The result, tie rules included, is the same as
+    ranking each point's full distance row with a stable sort.
+    """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     if points.ndim != 2:
@@ -91,17 +131,19 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     if len(labels) != n:
         raise ValueError("labels length must equal the number of points")
     if not 1 <= k <= n - 1:
-        raise ValueError(f"leave-one-out with k={k} needs at least {k + 1} points, got {n}")
-
-    sq = _sq_dists(points, points)
-    np.fill_diagonal(sq, np.inf)
-    order = np.argsort(sq, axis=1, kind="stable")[:, :k]
+        raise ParameterRangeError(
+            f"leave-one-out with k={k} needs at least {k + 1} points, got {n}"
+        )
+    _require_finite(points)
 
     errors = 0
-    for i in range(n):
-        neighbors = order[i]
-        if _vote(labels[neighbors], sq[i, neighbors]) != int(labels[i]):
-            errors += 1
+    for b in row_blocks(n):
+        sq = _sq_dists(points[b], points)
+        np.fill_diagonal(sq[:, b.start:], np.inf)  # leave each point out
+        errors += sum(
+            _vote(labels[row], dists[row]) != int(label)
+            for row, dists, label in zip(_nearest_k(sq, k), sq, labels[b])
+        )
     return ErrorReport(
         error_rate=errors / n,
         n_evaluated=n,

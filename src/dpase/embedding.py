@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shared import ParameterRangeError, row_blocks
+
 INPUT_SYMMETRY_TOL = 1e-12
 # Below this size one dense solve costs less than loading ARPACK once:
 # ``eigh`` takes about 35 ms at n = 500 and 0.17 s at n = 1000, while
 # importing scipy.sparse.linalg takes about 0.3 s and 30 MB.
 LANCZOS_MIN_N = 1000
-# Input checks visit about this many entries at a time (at least one row),
-# so their temporaries stay small instead of n x n.
-_CHECK_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,7 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    step = max(1, _CHECK_BLOCK // max(n, 1))
-    blocks = [slice(i, i + step) for i in range(0, n, step)]
+    blocks = row_blocks(M.shape[0])
     if not all(np.isfinite(M[b]).all() for b in blocks):
         raise ValueError("matrix entries must be finite")
     # Rows b against columns b from the block's first row on: every pair
@@ -118,12 +115,13 @@ def top_d_eigen(M: np.ndarray, d: int) -> EigenPairs:
     eigenvector's sign is fixed so that its largest-|entry| component
     (the first, if several tie) is positive. Within numerically
     degenerate eigenspaces any orthonormal basis may be returned.
-    Lanczos non-convergence raises ``np.linalg.LinAlgError``.
+    Lanczos non-convergence raises ``np.linalg.LinAlgError``, and a d
+    outside 1..n raises ``ParameterRangeError``.
     """
     M = _check_symmetric(M)
     n = M.shape[0]
     if not 1 <= d <= n:
-        raise ValueError(f"embedding dimension must satisfy 1 <= d <= {n}, got {d}")
+        raise ParameterRangeError(f"embedding dimension must satisfy 1 <= d <= {n}, got {d}")
     # 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach.
     if n >= LANCZOS_MIN_N and 2 * d < n:
         w, V = _lanczos(M, d)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shared import ParameterRangeError, row_blocks
+
 log = logging.getLogger(__name__)
 
 SYMMETRY_TOL = 1e-12
@@ -106,16 +108,20 @@ def validate_adjacency(A: np.ndarray) -> np.ndarray:
     """Check that A is a symmetric, hollow 0/1 matrix; return it as float64.
 
     Symmetry and hollowness must hold exactly (entrywise), not merely
-    within tolerance.
+    within tolerance. The checks walk row blocks, so their temporaries
+    are O(block * n) rather than n x n.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
-    if not np.array_equal(A, A.T):
+    blocks = row_blocks(A.shape[0])
+    # Rows b against columns b from the block's first row on: every pair
+    # (i, j) with i <= j is compared once, which suffices for symmetry.
+    if not all(np.array_equal(A[b, b.start:], A[b.start:, b].T) for b in blocks):
         raise ValueError("adjacency matrix must be exactly symmetric")
     if np.any(np.diagonal(A) != 0.0):
         raise ValueError("adjacency matrix must have a zero diagonal")
-    if not np.all((A == 0.0) | (A == 1.0)):
+    if not all(np.all((A[b] == 0.0) | (A[b] == 1.0)) for b in blocks):
         raise ValueError("adjacency entries must be 0 or 1")
     return A
 
@@ -123,7 +129,7 @@ def validate_adjacency(A: np.ndarray) -> np.ndarray:
 def sample_block_labels(params: SbmParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. 1-based block labels from the membership prior."""
     if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
+        raise ParameterRangeError(f"vertex count must be at least 1, got {n}")
     return rng.choice(params.K, size=n, p=params.pi) + 1
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shared import ParameterRangeError
 from .embedding import ase
 from .graphs import validate_adjacency
 
@@ -31,9 +32,9 @@ class PrivacyBudget:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise ParameterRangeError(f"alpha must be positive, got {self.alpha}")
         if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+            raise ParameterRangeError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ def calibrate_noise(n: int, d: int, budget: PrivacyBudget) -> NoiseScale:
 
     Computes ``8 d^2 ln^2(d/delta) / (n^2 alpha^2)`` with the natural
     logarithm. Requires ``d/delta > 1`` so the variance is strictly
-    positive.
+    positive, and an alpha for which it is finite and nonzero in floating
+    point.
     """
     if n < 1:
         raise CalibrationError(f"matrix size must be at least 1, got {n}")
@@ -61,7 +63,15 @@ def calibrate_noise(n: int, d: int, budget: PrivacyBudget) -> NoiseScale:
         raise CalibrationError(
             f"d/delta must exceed 1 for a positive noise scale, got {ratio!r}"
         )
-    beta_sq = 8.0 * d * d * math.log(ratio) ** 2 / (n * n * budget.alpha * budget.alpha)
+    try:
+        beta_sq = 8.0 * d * d * math.log(ratio) ** 2 / (n * n * budget.alpha * budget.alpha)
+    except ZeroDivisionError:
+        beta_sq = math.inf
+    if not 0.0 < beta_sq < math.inf:
+        raise CalibrationError(
+            f"alpha={budget.alpha!r} gives a noise variance of {beta_sq!r}, "
+            "outside the floating-point range"
+        )
     return NoiseScale(beta_sq=beta_sq, n=n, d=d)
 
 

@@ -12,9 +12,11 @@ replicate of a dataset graph. Distinct replicates draw fresh graphs and
 fresh noise. Runs are fully deterministic: the same configuration and
 base seed produce byte-identical output files.
 
-Failed cells (for example an unsatisfiable noise calibration) become
-status-tagged records with empty metric fields instead of aborting the
-sweep.
+Failed cells become status-tagged records with empty metric fields
+instead of aborting the sweep: ``calibration_error`` for a budget that
+gives no usable noise scale, ``eigen_error`` for a failed eigensolve and
+``invalid_cell`` for a parameter out of range (``ParameterRangeError``).
+Any other exception is a fault, not a cell result, and propagates.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._shared import ParameterRangeError
 from .classify import loocv_error
 from .embedding import ase, procrustes_align
 from .graphs import LabeledGraph, SbmParams, sample_sbm
@@ -76,7 +79,9 @@ class DatasetSource:
 
     def realize(self, n: int, rng: np.random.Generator) -> LabeledGraph:
         if n != self.graph.n:
-            raise ValueError(f"dataset has {self.graph.n} vertices, requested {n}")
+            raise ParameterRangeError(
+                f"dataset has {self.graph.n} vertices, requested {n}"
+            )
         return self.graph
 
 
@@ -96,6 +101,10 @@ class _PlainReferences:
             error_ase = loocv_error(reference, graph.labels, k).error_rate
             self._by_d[d] = (reference, error_ase)
         return self._by_d[d]
+
+
+# The errors that make a cell's result, not a fault of the program.
+_CELL_ERRORS = (ParameterRangeError, CalibrationError, np.linalg.LinAlgError)
 
 
 def _failed(record: SweepRecord, exc: ValueError) -> SweepRecord:
@@ -118,7 +127,7 @@ def _cell(record: SweepRecord, graph: LabeledGraph, rng, plain) -> SweepRecord:
         private = dp_ase(graph.adjacency, d, budget, rng)
         error_dp = loocv_error(private, graph.labels, record.k).error_rate
         fnorm = procrustes_align(private, reference).aligned_distance
-    except ValueError as exc:
+    except _CELL_ERRORS as exc:
         return _failed(record, exc)
     return replace(
         record,
@@ -134,7 +143,7 @@ def _replicate(source, records: list[SweepRecord], plain) -> list[SweepRecord]:
     rng = np.random.default_rng(records[0].seed)
     try:
         graph = source.realize(records[0].n, rng)
-    except ValueError as exc:
+    except _CELL_ERRORS as exc:
         return [_failed(record, exc) for record in records]
     # Every cell draws its noise from a copy of the stream as the graph left it.
     return [_cell(record, graph, copy.deepcopy(rng), plain) for record in records]

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from dpase import ErrorReport, chance_error, knn_predict, loocv_error
+from conftest import traced_peak
+from dpase import ErrorReport, ParameterRangeError, chance_error, knn_predict, loocv_error
+from dpase import _shared
 
 # Hand-enumerated 10-point fixture. With k=1 only point 9 is classified
 # correctly (its nearest neighbor is point 1 at squared distance 1);
@@ -139,8 +143,34 @@ class TestLoocvError:
 
     def test_rejects_k_too_large_for_leave_one_out(self):
         points = np.zeros((3, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError):
             loocv_error(points, [1, 2, 1], 3)
+
+    def test_rejects_non_finite_points(self):
+        points = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            loocv_error(points, [1, 2, 1], 1)
+        with pytest.raises(ValueError, match="finite"):
+            knn_predict(points[[0, 2]], [1, 2], np.array([np.inf, 0.0]), 1)
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        # A full n x n distance matrix and its argsort would be 3 n^2.
+        n = 1000
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(n, 2))
+        labels = rng.integers(1, 3, size=n)
+        peak = traced_peak(lambda: loocv_error(points, labels, 3))
+        assert peak <= 0.5 * n * n * 8
+
+    def test_seeded_case_spanning_several_default_blocks(self):
+        n = 600
+        assert len(_shared.row_blocks(n)) > 1
+        rng = np.random.default_rng(9)
+        points = rng.integers(-4, 5, size=(n, 2)).astype(float)
+        labels = rng.integers(1, 4, size=n)
+        for k in (1, 4):
+            mine = loocv_error(points, labels, k).error_rate
+            assert mine == oracles.brute_loocv_error(points, labels, k)
 
 
 class TestChanceError:
@@ -158,3 +188,49 @@ class TestChanceError:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             chance_error([])
+
+
+# Small integer grids put many points at equal distances, so ties at the
+# k-th distance are common; the explicit example has a three-way tie at
+# the cut whose members carry different labels.
+_GRID = st.integers(-2, 2).map(float)
+
+
+@st.composite
+def grid_cases(draw, leave_one_out: bool):
+    """Points, labels, a valid k and a query, all on a small integer grid."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2 if leave_one_out else 1, 24))
+    points = draw(st.lists(st.lists(_GRID, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    k = draw(st.integers(1, n - 1 if leave_one_out else n))
+    query = draw(st.lists(_GRID, min_size=d, max_size=d))
+    return np.array(points), np.array(labels), k, np.array(query)
+
+
+class TestMultiBlockExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(case=grid_cases(leave_one_out=True), rows=st.integers(1, 7))
+    @example(
+        case=(
+            np.array([[0.0], [1.0], [-1.0], [0.0], [1.0]]),
+            np.array([1, 2, 1, 2, 3]), 2, np.zeros(1),
+        ),
+        rows=2,
+    ).via("ties at the cut")
+    def test_loocv_in_blocks_of_1_to_7_rows_matches_oracle(self, case, rows):
+        points, labels, k, _ = case
+        n = len(points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_shared, "BLOCK_ENTRIES", rows * n)
+            assert len(_shared.row_blocks(n)) == -(-n // rows)
+            mine = loocv_error(points, labels, k).error_rate
+        assert mine == oracles.brute_loocv_error(points, labels, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=grid_cases(leave_one_out=False))
+    def test_knn_predict_matches_oracle(self, case):
+        points, labels, k, query = case
+        assert knn_predict(points, labels, query, k) == oracles.brute_knn_predict(
+            points, labels, query, k
+        )

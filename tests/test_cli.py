@@ -2,11 +2,17 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import dpase
 from dpase import load_edge_list, sample_sbm, SbmParams, write_edge_list
 from dpase.cli import main, parse_float_list, parse_int_list
 from dpase.sweeps import DatasetSource, SimulationSource
@@ -406,3 +412,60 @@ class TestFailures:
                      "--labels", str(labels), "--n-hint", "10",
                      "--dim", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+
+class TestBlasThreadCount:
+    """One and two OpenBLAS threads give the same records.
+
+    kNN errors must be equal. Other floats may differ by the 1e-10
+    relative tolerance that the Lanczos and dense paths are held to; the
+    CSV keeps 9 significant digits, so such a difference can show as one
+    unit in the last printed digit.
+    """
+
+    @staticmethod
+    def run_cli(threads: int, *args) -> None:
+        src = Path(dpase.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run(
+            [sys.executable, "-m", "dpase.cli", *map(str, args)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+
+    @staticmethod
+    def close_as_printed(a: float, b: float) -> bool:
+        if a == b:
+            return True
+        last_digit = 10.0 ** (math.floor(math.log10(max(abs(a), abs(b)))) - 8)
+        return abs(a - b) <= 1e-10 * max(abs(a), abs(b)) + last_digit
+
+    def test_sweep_records_do_not_depend_on_thread_count(self, tmp_path):
+        rows = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.csv"
+            self.run_cli(threads, "simulate-sweep-n", "--n-list", 1000,
+                         "--replicates", 1, *SBM_FLAGS, "--out", out)
+            with open(out, newline="") as fh:
+                rows[threads] = list(csv.DictReader(fh))
+        (one,), (two,) = rows[1], rows[2]
+        assert one["status"] == "ok"
+        assert one.keys() == two.keys()
+        for column in one:
+            if column in ("fnorm", "fnorm_per_vertex"):
+                assert self.close_as_printed(float(one[column]), float(two[column])), column
+            else:
+                assert one[column] == two[column], column
+
+    def test_classify_report_does_not_depend_on_thread_count(self, tmp_path):
+        rng = np.random.default_rng(17)
+        embedding, labels = tmp_path / "embedding.csv", tmp_path / "labels.txt"
+        np.savetxt(embedding, rng.integers(-6, 7, size=(1000, 2)), delimiter=",")
+        labels.write_text("".join(f"{v}\n" for v in rng.integers(1, 3, size=1000)))
+        reports = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.json"
+            self.run_cli(threads, "classify", "--embedding", embedding,
+                         "--labels", labels, "--out", out)
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["n_evaluated"] == 1000

@@ -10,6 +10,7 @@ from conftest import traced_peak
 from dpase import (
     EdgeListError,
     LabeledGraph,
+    ParameterRangeError,
     SbmParams,
     load_edge_list,
     load_labels,
@@ -18,6 +19,7 @@ from dpase import (
     validate_adjacency,
     write_edge_list,
 )
+from dpase import _shared
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
 PI_TWO_BLOCK = np.array([0.4, 0.6])
@@ -81,6 +83,31 @@ class TestValidateAdjacency:
         with pytest.raises(ValueError, match="square"):
             validate_adjacency(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100])
+    def test_row_blocks_keep_each_message_and_its_precedence(self, monkeypatch, rows):
+        # One fault per check, planted past the first block, and a 2 on
+        # the diagonal that the symmetry and diagonal checks both precede.
+        n = 9
+        monkeypatch.setattr(_shared, "BLOCK_ENTRIES", rows * n)
+        base = sample_sbm(two_block_params(), n, np.random.default_rng(5)).adjacency.copy()
+        asymmetric, diagonal, non_binary = base.copy(), base.copy(), base.copy()
+        asymmetric[8, 6] = 1.0 - asymmetric[6, 8]
+        diagonal[7, 7] = 2.0
+        non_binary[5, 8] = non_binary[8, 5] = 0.5
+        for A, message in [
+            (asymmetric, "symmetric"), (diagonal, "diagonal"), (non_binary, "0 or 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                validate_adjacency(A)
+        assert validate_adjacency(base) is base
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        # The whole-matrix checks made n x n bool temporaries: 0.25 n^2.
+        n = 1000
+        A = sample_sbm(two_block_params(), n, np.random.default_rng(6)).adjacency
+        peak = traced_peak(lambda: validate_adjacency(A))
+        assert peak <= 0.05 * n * n * 8
+
 
 class TestSampleSbm:
     def test_all_one_probabilities_give_complete_graph(self):
@@ -95,7 +122,7 @@ class TestSampleSbm:
         assert graph.adjacency.sum() == 0
 
     def test_rejects_nonpositive_vertex_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError):
             sample_sbm(two_block_params(), 0, np.random.default_rng(0))
 
     def test_symmetry_and_hollowness_exact(self):
@@ -123,8 +150,8 @@ class TestSampleSbm:
     def test_peak_memory_is_about_one_matrix(self):
         n = 400
         peak = traced_peak(lambda: sample_sbm(two_block_params(), n, np.random.default_rng(0)))
-        # A itself plus validate_adjacency's three n x n bool temporaries is
-        # 1.375 n^2 float64; a second n x n float buffer would make it 2.
+        # A itself plus validate_adjacency's row-block temporaries is about
+        # 1.16 n^2 float64 at this n; a second n x n float buffer would make it 2.
         assert peak <= 1.45 * n * n * 8
 
     def test_labels_share_the_stream_with_label_sampler(self):

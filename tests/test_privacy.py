@@ -8,6 +8,7 @@ import oracles
 from conftest import traced_peak
 from dpase import (
     CalibrationError,
+    ParameterRangeError,
     PrivacyBudget,
     ase,
     calibrate_noise,
@@ -42,6 +43,11 @@ class TestPrivacyBudget:
         for delta in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ValueError, match="delta"):
                 PrivacyBudget(0.1, delta)
+
+    def test_range_errors_are_parameter_range_errors(self):
+        for alpha, delta in [(-1.0, 0.1), (float("nan"), 0.1), (0.1, 1.0), (0.1, float("nan"))]:
+            with pytest.raises(ParameterRangeError):
+                PrivacyBudget(alpha, delta)
 
 
 class TestCalibrateNoise:
@@ -83,6 +89,13 @@ class TestCalibrateNoise:
             calibrate_noise(5, 6, budget)
         with pytest.raises(CalibrationError):
             calibrate_noise(5, 0, budget)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), 1e200, 1e-160, 1e-170])
+    def test_variance_outside_float_range_is_a_calibration_error(self, alpha):
+        # alpha^2 overflows to inf (variance 0) or underflows so far that
+        # the variance overflows, or the denominator is exactly 0.
+        with pytest.raises(CalibrationError, match="floating-point range"):
+            calibrate_noise(100, 2, PrivacyBudget(alpha, 0.01))
 
 
 class TestSampleSymmetricNoise:

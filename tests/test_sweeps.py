@@ -25,7 +25,7 @@ from dpase import (
     run_privacy_grid,
     sample_sbm,
 )
-from dpase import sweeps
+from dpase import classify, sweeps
 
 
 def sim_source() -> SimulationSource:
@@ -172,6 +172,25 @@ class TestFailureTagging:
     def test_dataset_size_mismatch_is_tagged(self):
         records = run_dim_sweep(fixed_source(n=40), 99, [2], 0.5, 0.01, 3, 1, 0)
         assert records[0].status == "invalid_cell"
+
+    def test_alpha_outside_float_range_is_a_calibration_error(self):
+        records = run_alpha_tradeoff(sim_source(), 30, 2, [math.inf, 0.5], 0.01, 3, 1, 0)
+        assert [r.status for r in records] == ["calibration_error", "ok"]
+
+    @pytest.mark.parametrize("module, name", [
+        (classify, "_nearest_k"), (sweeps, "procrustes_align"),
+    ])
+    def test_a_plain_value_error_from_a_bug_escapes_the_sweep(
+        self, monkeypatch, module, name
+    ):
+        # Only range, calibration and eigensolver errors describe a cell;
+        # any other ValueError is a fault and must not become a record.
+        def planted(*args, **kwargs):
+            raise ValueError("planted bug")
+
+        monkeypatch.setattr(module, name, planted)
+        with pytest.raises(ValueError, match="planted bug"):
+            run_privacy_grid(sim_source(), 30, 2, [0.5], [0.01], 3, 1, 0)
 
 
 class TestDatasetSource:
