@@ -243,8 +243,8 @@ def _sbm_params(opts: dict) -> SbmParams:
 
 
 def _load_dataset(opts: dict) -> LabeledGraph:
-    adjacency = load_edge_list(opts["edge_list"], n_hint=opts.get("n_hint"))
     _require(opts, "labels")
+    adjacency = load_edge_list(opts["edge_list"], n_hint=opts.get("n_hint"))
     labels = load_labels(opts["labels"], adjacency.shape[0])
     return LabeledGraph(adjacency=adjacency, labels=labels)
 
@@ -273,9 +273,9 @@ def _cmd_sweep(run, size: str, opts: dict) -> int:
 
 def _cmd_embed(opts: dict) -> int:
     _require(opts, "edge_list", "out")
-    adjacency = load_edge_list(opts["edge_list"], n_hint=opts.get("n_hint"))
     if (opts["alpha"] is None) != (opts["delta"] is None):
         raise ValueError("provide both --alpha and --delta, or neither for a plain embedding")
+    adjacency = load_edge_list(opts["edge_list"], n_hint=opts.get("n_hint"))
     if opts["alpha"] is None:
         positions = ase(adjacency, opts["dim"])
     else:

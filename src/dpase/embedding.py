@@ -116,7 +116,8 @@ def top_d_eigen(M: np.ndarray, d: int) -> EigenPairs:
     (the first, if several tie) is positive. Within numerically
     degenerate eigenspaces any orthonormal basis may be returned.
     Lanczos non-convergence raises ``np.linalg.LinAlgError``, and a d
-    outside 1..n raises ``ParameterRangeError``.
+    outside 1..n raises ``ParameterRangeError``. A bool 0/1 adjacency is
+    read as its float64 copy.
     """
     M = _check_symmetric(M)
     n = M.shape[0]

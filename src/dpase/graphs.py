@@ -2,8 +2,9 @@
 
 An undirected simple graph on n vertices is represented as a plain numpy
 array: an n x n symmetric, hollow (zero-diagonal) 0/1 matrix of dtype
-float64. Block/class labels are 1-based integer vectors with values in
-1..K.
+bool, one byte per entry. Arithmetic on it (the embedding's float64
+copy, ``dp_ase``'s in-place ``M += A``) sees exactly 0.0 and 1.0.
+Block/class labels are 1-based integer vectors with values in 1..K.
 
 File formats
 ------------
@@ -19,6 +20,7 @@ ids are remapped to contiguous 1..K in order of first appearance.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +84,7 @@ class SbmParams:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """An adjacency matrix together with 1-based block labels."""
+    """A read-only bool adjacency matrix together with 1-based block labels."""
 
     adjacency: np.ndarray
     labels: np.ndarray
@@ -105,13 +107,17 @@ class LabeledGraph:
 
 
 def validate_adjacency(A: np.ndarray) -> np.ndarray:
-    """Check that A is a symmetric, hollow 0/1 matrix; return it as float64.
+    """Check that A is a symmetric, hollow 0/1 matrix; return it as bool.
 
+    Any numeric 0/1 matrix is accepted and checked as float64; a bool
+    matrix is returned as is and skips the 0/1 check it cannot fail.
     Symmetry and hollowness must hold exactly (entrywise), not merely
     within tolerance. The checks walk row blocks, so their temporaries
     are O(block * n) rather than n x n.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A)
+    if A.dtype != bool:
+        A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
     blocks = row_blocks(A.shape[0])
@@ -119,11 +125,13 @@ def validate_adjacency(A: np.ndarray) -> np.ndarray:
     # (i, j) with i <= j is compared once, which suffices for symmetry.
     if not all(np.array_equal(A[b, b.start:], A[b.start:, b].T) for b in blocks):
         raise ValueError("adjacency matrix must be exactly symmetric")
-    if np.any(np.diagonal(A) != 0.0):
+    if np.any(np.diagonal(A) != 0):
         raise ValueError("adjacency matrix must have a zero diagonal")
+    if A.dtype == bool:
+        return A
     if not all(np.all((A[b] == 0.0) | (A[b] == 1.0)) for b in blocks):
         raise ValueError("adjacency entries must be 0 or 1")
-    return A
+    return A != 0.0
 
 
 def sample_block_labels(params: SbmParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +151,7 @@ def sample_sbm(params: SbmParams, n: int, rng: np.random.Generator) -> LabeledGr
     """
     labels = sample_block_labels(params, n, rng)
     idx = labels - 1
-    A = np.zeros((n, n))
+    A = np.zeros((n, n), dtype=bool)
     # Each row's upper-triangle draw is written to the row and its mirror
     # column at once, so A is the only n x n buffer and memory beyond it is O(n).
     for i in range(n - 1):
@@ -173,16 +181,9 @@ def _data_lines(path, what: str):
         raise EdgeListError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
-    """Read a whitespace-separated edge list into an adjacency matrix.
-
-    Duplicate edges collapse to a single edge and self-loops are dropped
-    (a warning with the count is logged). When ``n_hint`` is given it
-    fixes the vertex count and any id outside the valid range is an
-    error; otherwise the count is inferred from the largest id.
-    """
-    if n_hint is not None and n_hint < 0:
-        raise EdgeListError(f"{path}: vertex-count hint must be nonnegative, got {n_hint}")
+def _parse_edge_lines(path) -> tuple[np.ndarray, list[int]]:
+    """The (m, 2) int64 ids of an edge list and the line number of each row,
+    read line by line; the first bad line raises ``EdgeListError``."""
     linenos: list[int] = []
     pairs: list[int] = []
     for lineno, line in _data_lines(path, "edge list"):
@@ -197,18 +198,53 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
             raise EdgeListError(f"{path}:{lineno}: negative vertex id")
         linenos.append(lineno)
         pairs += (u, v)
-
-    if not pairs:
-        if n_hint is None:
-            raise EdgeListError(f"{path}: no edges and no vertex-count hint")
-        return np.zeros((n_hint, n_hint))
-
     try:
         ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
-        # An id past int64 fits no matrix; capped, it fails the size checks below.
+        # An id past int64 fits no matrix; capped, it fails the size checks.
         ids = np.array([min(i, _ID_CAP) for i in pairs], dtype=np.int64).reshape(-1, 2)
-    del pairs  # the id objects cost several times the array; free them before A
+    return ids, linenos
+
+
+def _load_edge_ids(path) -> np.ndarray | None:
+    """The (m, 2) int64 ids of an edge list from one C-level parse.
+
+    Returns None, leaving the file to the line loop and its messages,
+    when the file cannot be read or holds no edges, a ``#`` line, a
+    token that is not an int64, a line without two ids or a negative id.
+    Whatever it does accept, it reads exactly as the line loop would.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns on a file with no data
+            ids = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+    except (OSError, ValueError):
+        return None
+    if ids.shape[1] != 2 or not len(ids) or ids.min() < 0:
+        return None
+    return ids
+
+
+def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
+    """Read a whitespace-separated edge list into an adjacency matrix.
+
+    Duplicate edges collapse to a single edge and self-loops are dropped
+    (a warning with the count is logged). When ``n_hint`` is given it
+    fixes the vertex count and any id outside the valid range is an
+    error; otherwise the count is inferred from the largest id. A plain
+    file of id pairs is parsed in one vectorized pass; anything else goes
+    through the line loop, which names the first bad line.
+    """
+    if n_hint is not None and n_hint < 0:
+        raise EdgeListError(f"{path}: vertex-count hint must be nonnegative, got {n_hint}")
+    ids, linenos = _load_edge_ids(path), None
+    if ids is None:
+        ids, linenos = _parse_edge_lines(path)
+    if not len(ids):
+        if n_hint is None:
+            raise EdgeListError(f"{path}: no edges and no vertex-count hint")
+        return np.zeros((n_hint, n_hint), dtype=bool)
+
     min_id = ids.min()
     offset = 0 if min_id == 0 else 1
     if min_id == 1:
@@ -218,17 +254,19 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     n = n_hint if n_hint is not None else int(ids.max()) + 1
     # Sized before the bounds check, so an n too large to allocate is
     # reported ahead of any out-of-range line.
-    A = np.zeros((n, n))
+    A = np.zeros((n, n), dtype=bool)
     outside = np.flatnonzero((ids >= n).any(axis=1))
     if outside.size:
+        if linenos is None:  # the vectorized pass keeps no line numbers
+            linenos = _parse_edge_lines(path)[1]
         raise EdgeListError(
             f"{path}:{linenos[outside[0]]}: vertex id exceeds declared count {n}"
         )
     u, v = ids.T
-    A[u, v] = A[v, u] = 1.0
+    A[u, v] = A[v, u] = True
     self_loops = np.count_nonzero(u == v)
     if self_loops:
-        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, False)
         log.warning("%s: dropped %d self-loop(s)", path, self_loops)
     return validate_adjacency(A)
 
@@ -237,9 +275,9 @@ def write_edge_list(A: np.ndarray, path) -> None:
     """Write the upper-triangle edges of an adjacency matrix, 0-based."""
     A = validate_adjacency(A)
     rows, cols = np.nonzero(np.triu(A, k=1))
+    text = "".join(f"{u} {v}\n" for u, v in zip(rows.tolist(), cols.tolist()))
     with open(path, "w", newline="\n") as fh:
-        for u, v in zip(rows, cols):
-            fh.write(f"{u} {v}\n")
+        fh.write(text)
 
 
 def load_labels(path, n: int) -> np.ndarray:

@@ -4,16 +4,22 @@ Everything here deliberately avoids the code paths under test:
 eigenvalues come from characteristic-polynomial root isolation instead
 of LAPACK, large-matrix eigenpairs from a full dense decomposition
 instead of Lanczos iteration, nearest-neighbor answers from a pure-Python exhaustive sort,
-Procrustes optima from a dense grid over all 2x2 orthogonal maps, and
+Procrustes optima from a dense grid over all 2x2 orthogonal maps,
 symmetric random matrices from a whole upper triangle mirrored after
-the fact instead of row by row in place.
+the fact instead of row by row in place, and edge lists from a
+line-by-line parse into a float64 matrix instead of a vectorized one.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
+
+from dpase import EdgeListError
+
+edge_log = logging.getLogger("oracles.edge_list")
 
 
 # ---------------------------------------------------------------------------
@@ -222,3 +228,68 @@ def transpose_sum_sbm(B, pi, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     for i in range(n - 1):
         upper[i, i + 1:] = rng.random(n - 1 - i) < B[idx[i], idx[i + 1:]]
     return upper + upper.T, labels
+
+
+# ---------------------------------------------------------------------------
+# edge lists: one Python int() per token, line by line
+
+def line_loop_edge_list(path, n_hint: int | None = None) -> np.ndarray:
+    """A float64 adjacency matrix from an edge list read line by line.
+
+    Same file format, messages and log lines as ``dpase.load_edge_list``:
+    ``#`` and blank lines skipped, exactly two ``int()`` tokens per line,
+    a 0 anywhere means 0-based, duplicates collapse, self-loops are
+    dropped with a warning, ids past int64 are capped so that they fail
+    the size checks, and the first out-of-range line in file order is named.
+    """
+    if n_hint is not None and n_hint < 0:
+        raise EdgeListError(f"{path}: vertex-count hint must be nonnegative, got {n_hint}")
+    linenos: list[int] = []
+    pairs: list[int] = []
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise EdgeListError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+            ids = []
+            for token in tokens:
+                try:
+                    ids.append(int(token))
+                except ValueError:
+                    raise EdgeListError(
+                        f"{path}:{lineno}: non-integer vertex id {token!r}"
+                    ) from None
+            if min(ids) < 0:
+                raise EdgeListError(f"{path}:{lineno}: negative vertex id")
+            linenos.append(lineno)
+            pairs += ids
+    if not pairs:
+        if n_hint is None:
+            raise EdgeListError(f"{path}: no edges and no vertex-count hint")
+        return np.zeros((n_hint, n_hint))
+    cap = np.iinfo(np.int64).max
+    ids = np.array([min(i, cap) for i in pairs], dtype=np.int64).reshape(-1, 2)
+    min_id = int(ids.min())
+    if min_id == 1:
+        edge_log.info(
+            "%s: minimum vertex id is 1 and 0 never appears; treating ids as 1-based", path
+        )
+    ids -= 0 if min_id == 0 else 1
+    n = n_hint if n_hint is not None else int(ids.max()) + 1
+    A = np.zeros((n, n))
+    for row, (u, v) in enumerate(ids.tolist()):
+        if u >= n or v >= n:
+            raise EdgeListError(f"{path}:{linenos[row]}: vertex id exceeds declared count {n}")
+        if u != v:
+            A[u, v] = A[v, u] = 1.0
+    self_loops = int(np.count_nonzero(ids[:, 0] == ids[:, 1]))
+    if self_loops:
+        edge_log.warning("%s: dropped %d self-loop(s)", path, self_loops)
+    return A

@@ -397,6 +397,24 @@ class TestFailures:
         assert code == 1
         assert "--labels" in capsys.readouterr().err
 
+    def test_missing_labels_is_reported_before_reading_the_edge_list(self, tmp_path, capsys):
+        code = main(["dim-sweep", "--edge-list", str(tmp_path / "absent.txt"),
+                     "--dim", "2", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "missing required option --labels" in err
+        assert "cannot read" not in err
+
+    def test_lone_privacy_flag_is_reported_before_reading_the_edge_list(
+        self, tmp_path, capsys
+    ):
+        code = main(["embed", "--edge-list", str(tmp_path / "absent.txt"),
+                     "--alpha", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "provide both --alpha and --delta" in err
+        assert "cannot read" not in err
+
     def test_mismatched_label_count(self, tmp_path, capsys):
         edges, _, _ = write_fixture_graph(tmp_path)
         labels = tmp_path / "short.labels"

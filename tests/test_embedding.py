@@ -128,7 +128,7 @@ def lanczos_case(request):
     alpha (delta = 0.001), with its dense top-10 reference."""
     n = LANCZOS_MIN_N
     params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
-    M = sample_sbm(params, n, np.random.default_rng(40)).adjacency.copy()
+    M = sample_sbm(params, n, np.random.default_rng(40)).adjacency.astype(float)
     if request.param is not None:
         scale = calibrate_noise(n, 2, PrivacyBudget(request.param, 0.001))
         M += sample_symmetric_noise(n, scale, np.random.default_rng(41))

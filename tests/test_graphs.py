@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import traced_peak
@@ -19,7 +21,7 @@ from dpase import (
     validate_adjacency,
     write_edge_list,
 )
-from dpase import _shared
+from dpase import _shared, graphs
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
 PI_TWO_BLOCK = np.array([0.4, 0.6])
@@ -65,7 +67,7 @@ class TestValidateAdjacency:
     def test_accepts_valid_matrix(self):
         A = np.array([[0, 1], [1, 0]])
         out = validate_adjacency(A)
-        assert out.dtype == np.float64
+        assert out.dtype == bool
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -89,7 +91,7 @@ class TestValidateAdjacency:
         # the diagonal that the symmetry and diagonal checks both precede.
         n = 9
         monkeypatch.setattr(_shared, "BLOCK_ENTRIES", rows * n)
-        base = sample_sbm(two_block_params(), n, np.random.default_rng(5)).adjacency.copy()
+        base = sample_sbm(two_block_params(), n, np.random.default_rng(5)).adjacency.astype(float)
         asymmetric, diagonal, non_binary = base.copy(), base.copy(), base.copy()
         asymmetric[8, 6] = 1.0 - asymmetric[6, 8]
         diagonal[7, 7] = 2.0
@@ -99,7 +101,16 @@ class TestValidateAdjacency:
         ]:
             with pytest.raises(ValueError, match=message):
                 validate_adjacency(A)
-        assert validate_adjacency(base) is base
+        valid = validate_adjacency(base)
+        assert valid.dtype == bool and np.array_equal(valid, base)
+        assert validate_adjacency(valid) is valid
+
+    @pytest.mark.parametrize("dtype", [float, int, np.int8, bool])
+    def test_returns_a_bool_matrix_equal_to_the_nonzero_pattern(self, dtype):
+        A = sample_sbm(two_block_params(), 30, np.random.default_rng(8)).adjacency.astype(dtype)
+        out = validate_adjacency(A)
+        assert out.dtype == bool
+        assert np.array_equal(out, A != 0)
 
     def test_peak_memory_is_a_few_row_blocks(self):
         # The whole-matrix checks made n x n bool temporaries: 0.25 n^2.
@@ -143,16 +154,17 @@ class TestSampleSbm:
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         graph = sample_sbm(two_block_params(), n, rng)
         A, labels = oracles.transpose_sum_sbm(B_TWO_BLOCK, PI_TWO_BLOCK, n, ref_rng)
-        assert graph.adjacency.tobytes() == A.tobytes()
+        assert graph.adjacency.dtype == bool
+        assert graph.adjacency.astype(float).tobytes() == A.tobytes()
         assert np.array_equal(graph.labels, labels)
         assert rng.random() == ref_rng.random()  # same share of the stream used
 
     def test_peak_memory_is_about_one_matrix(self):
         n = 400
         peak = traced_peak(lambda: sample_sbm(two_block_params(), n, np.random.default_rng(0)))
-        # A itself plus validate_adjacency's row-block temporaries is about
-        # 1.16 n^2 float64 at this n; a second n x n float buffer would make it 2.
-        assert peak <= 1.45 * n * n * 8
+        # A is one byte per entry, 0.125 n^2 float64, plus validate_adjacency's
+        # row-block temporaries; a float64 A alone would make it 1.
+        assert peak <= 0.3 * n * n * 8
 
     def test_labels_share_the_stream_with_label_sampler(self):
         params = two_block_params()
@@ -309,6 +321,88 @@ class TestEdgeListIO:
         write_edge_list(graph.adjacency, path)
         back = load_edge_list(path, n_hint=40)
         assert np.array_equal(back, graph.adjacency)
+
+    def test_write_gives_each_upper_triangle_edge_once_in_row_order(self, tmp_path):
+        A = np.zeros((4, 4), dtype=bool)
+        for u, v in [(0, 1), (0, 3), (2, 3)]:
+            A[u, v] = A[v, u] = True
+        for matrix in (A, A.astype(float)):
+            path = tmp_path / "edges.txt"
+            write_edge_list(matrix, path)
+            assert path.read_bytes() == b"0 1\n0 3\n2 3\n"
+
+    def test_a_plain_file_of_pairs_skips_the_line_loop(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError("line loop used")
+
+        path = tmp_path / "plain.txt"
+        path.write_text("0 1\n\n  1\t2 \n")
+        monkeypatch.setattr(graphs, "_parse_edge_lines", refuse)
+        A = load_edge_list(path)
+        assert A.dtype == bool
+        assert np.array_equal(A, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+_SMALL_IDS = st.integers(0, 8).map(str)
+_ODD_IDS = st.sampled_from(
+    ["+5", "1_0", "1.0", "-1", "-0", "07", "x", "99999999999999999999", "9223372036854775807"]
+)
+_IDS = st.one_of(_SMALL_IDS, _SMALL_IDS, _SMALL_IDS, _ODD_IDS)
+_PADDING = st.sampled_from(["", "", " ", "\t"])
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Small edge-list files of id pairs, blank lines and tabs; half of them
+    also mix in odd ids, three-token lines and comments."""
+    odd = draw(st.booleans())
+    ids_of = _IDS if odd else _SMALL_IDS
+    kinds = ["pair"] * 6 + (["three", "comment", "blank"] if odd else ["blank"])
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment":
+            line = draw(st.sampled_from(["# header", "#", "  # indented"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        else:
+            ids = [draw(ids_of) for _ in range(2 if kind == "pair" else 3)]
+            separator = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+            line = draw(_PADDING) + separator.join(ids) + draw(_PADDING)
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestEdgeListOracle:
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=edge_list_texts(), n_hint=st.one_of(st.none(), st.integers(-1, 8)))
+    @example(text="1 2\n2 1\n3 3\n", n_hint=None)
+    @example(text="0 1\n0 9\n", n_hint=3)
+    @example(text="0 99999999999999999999\n", n_hint=4)
+    @example(text="0 9223372036854775807\n", n_hint=None)
+    def test_matches_the_line_loop_oracle(self, tmp_path, caplog, text, n_hint):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+
+        def run(load):
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                try:
+                    result = load(path, n_hint)
+                except Exception as exc:  # compared by type and text below
+                    result = (type(exc), str(exc))
+            return result, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+        got, got_log = run(load_edge_list)
+        want, want_log = run(oracles.line_loop_edge_list)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == bool and np.array_equal(got, want)
+        assert got_log == want_log
 
 
 class TestLoadLabels:

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse.linalg
 import scipy.stats
 
+from conftest import traced_peak
 from dpase import (
     CSV_COLUMNS,
     DatasetSource,
@@ -243,6 +244,16 @@ class TestReuse:
         records = run_n_sweep(sim_source(), [30, 40], 2, 0.5, 0.01, 3, 2, 0)
         assert len(drawn) == 4
         assert [r.status for r in records] == ["ok"] * 4
+
+
+class TestMemory:
+    def test_n_sweep_holds_the_graph_beside_one_float_matrix(self):
+        # The 1-byte graph (0.125 n^2 float64) beside one n x n float64
+        # buffer, A + E or the plain embedding's copy of A, plus row-block
+        # temporaries: about 1.26 n^2. A float64 graph beside A + E is 2.1.
+        n = 1000
+        peak = traced_peak(lambda: run_n_sweep(sim_source(), [n], 2, 0.1, 0.001, 3, 1, 0))
+        assert peak <= 1.35 * n * n * 8
 
 
 class TestTrends:
