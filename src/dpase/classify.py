@@ -6,12 +6,17 @@ classes the one whose nearest voting member is closest wins, and a
 residual tie goes to the smallest class id. Comparisons use squared
 distances throughout so the ordering is exact.
 
-Leave-one-out evaluation never holds the n x n distance matrix: it walks
-row blocks of about ``BLOCK_ENTRIES / n`` rows, so its memory is
-O(block * n). Each block's k nearest come from a partial sort, and every
-candidate tied with the k-th distance is kept and ranked by (distance,
-index) before the cut, so the tie rules above hold exactly as a full
-sort would apply them.
+Leave-one-out evaluation is a sorted sweep (Friedman, Baskett & Shustek
+1975). The points are sorted once, stably, on their widest coordinate
+and walked in blocks of about ``BLOCK_ENTRIES / n`` consecutive sorted
+points. Each block's k-th distances to its sorted neighbors bound the
+true ones from above, and only the points whose gap along the sort axis
+is within that bound can be nearer, so only those get full distances.
+Every candidate tied with the k-th distance is kept and ranked by
+(distance, index) before the cut, and one vectorized vote per block
+applies the tie rules above exactly as a full sort would. Where one
+coordinate prunes nothing (small n, or many dimensions), a block
+measures all n points, as a plain row-block pass would.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ def _nearest_k(sq: np.ndarray, k: int) -> np.ndarray:
     at or below it is a candidate, so a tie across the cut is kept. The
     candidates come out row-major with ascending columns, and a stable
     sort by (row, distance) keeps that column order among equal distances.
+    A NaN entry sorts last and is never a candidate.
     """
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
     rows, cols = np.nonzero(sq <= kth)
@@ -68,17 +74,26 @@ def _nearest_k(sq: np.ndarray, k: int) -> np.ndarray:
     return ranked[starts[:, None] + np.arange(k)]
 
 
-def _vote(neighbor_labels: np.ndarray, neighbor_sq_dists: np.ndarray) -> int:
-    counts: dict[int, int] = {}
-    nearest: dict[int, float] = {}
-    for label, sq in zip(neighbor_labels, neighbor_sq_dists):
-        label = int(label)
-        counts[label] = counts.get(label, 0) + 1
-        if label not in nearest:
-            nearest[label] = sq  # neighbors arrive distance-sorted
-    top = max(counts.values())
-    tied = [label for label, c in counts.items() if c == top]
-    return min(tied, key=lambda label: (nearest[label], label))
+def _block_vote(classes: np.ndarray, sq: np.ndarray, n_classes: int) -> np.ndarray:
+    """Each row's winning class among its k ranked neighbors.
+
+    ``classes`` holds the neighbors' class ids in 0..n_classes-1 (in
+    order of the class values) and ``sq`` their squared distances. Every
+    neighbor is keyed by (its class's votes, descending; its distance;
+    its class id), so a class's nearest member carries the class's best
+    key and each row's best-keyed neighbor names the winner.
+    """
+    rows, k = classes.shape
+    slots = (np.arange(rows)[:, None] * n_classes + classes).ravel()
+    votes = np.bincount(slots, minlength=rows * n_classes)[slots]
+    best = np.lexsort((classes.ravel(), sq.ravel(), -votes, slots // n_classes))
+    return classes.ravel()[best[::k]]
+
+
+def _beyond(xq: np.ndarray, x: float, bound: np.ndarray) -> bool:
+    """Whether the sort-axis term alone puts ``x`` past every row's bound."""
+    gap = xq - x
+    return bool(np.all(gap * gap > bound))
 
 
 def _require_finite(points: np.ndarray) -> None:
@@ -110,18 +125,42 @@ def knn_predict(
         raise ParameterRangeError(f"k must satisfy 1 <= k <= {len(train_points)}, got {k}")
     _require_finite(train_points)
     _require_finite(query)
+    values, classes = np.unique(train_labels, return_inverse=True)
     sq = _sq_dists(query[None, :], train_points)
-    neighbors = _nearest_k(sq, k)[0]
-    return _vote(train_labels[neighbors], sq[0, neighbors])
+    neighbors = _nearest_k(sq, k)
+    winner = _block_vote(
+        classes[neighbors], np.take_along_axis(sq, neighbors, axis=1), len(values)
+    )
+    return int(values[winner[0]])
 
 
 def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     """Leave-one-out kNN error: predict each point from all the others.
 
-    Distances are computed one row block at a time, so memory beyond the
-    inputs is O(block * n) with blocks of about ``BLOCK_ENTRIES / n``
-    rows, never n x n. The result, tie rules included, is the same as
-    ranking each point's full distance row with a stable sort.
+    The points are sorted, stably, on their widest coordinate and walked
+    in blocks of about ``BLOCK_ENTRIES / n`` consecutive sorted points.
+    For each block:
+
+    1. Distances to the block's sorted neighbors, a full block plus k on
+       each side, give each row's k-th smallest distance among them, an
+       upper bound on its true k-th distance.
+    2. A point whose squared gap along the sort axis alone exceeds a
+       row's bound cannot be among its neighbors: the distance kernel
+       adds nonnegative per-coordinate terms to 0, so its float sum is
+       never below that one term. The remaining points form one sorted
+       range, located with ``searchsorted`` and then checked exactly at
+       both ends; should rounding have cut it short, it is widened to
+       all points.
+    3. Full distances to that range, in ascending vertex index, go
+       through the same selection as a full sort.
+
+    When the neighbors or the range already span every point (small n,
+    or many dimensions where one coordinate prunes nothing) the block
+    skips the bound or the gather and measures all n points directly.
+    Memory beyond the inputs is O(block * n), never n x n. Each point's
+    distance to itself is NaN, which never ranks, so the result, tie
+    rules included, is the same as ranking each point's full distance
+    row without it by a stable sort, also when squares overflow to inf.
     """
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
@@ -136,14 +175,46 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
         )
     _require_finite(points)
 
+    values, classes = np.unique(labels, return_inverse=True)
+    spans = np.ptp(points, axis=0)
+    x = points[:, spans.argmax()] if spans.size else np.zeros(n)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # One contiguous row per coordinate, also for a gathered subset of the
+    # points: the kernel reads one coordinate of every point at a time.
+    coords = np.ascontiguousarray(points.T)
+    blocks = row_blocks(n)
+    reach = blocks[0].stop + k  # a full block plus k on each side
     errors = 0
-    for b in row_blocks(n):
-        sq = _sq_dists(points[b], points)
-        np.fill_diagonal(sq[:, b.start:], np.inf)  # leave each point out
-        errors += sum(
-            _vote(labels[row], dists[row]) != int(label)
-            for row, dists, label in zip(_nearest_k(sq, k), sq, labels[b])
+    for b in blocks:
+        rows, xq, own = order[b], xs[b], np.arange(b.stop - b.start)
+        lo, hi = max(0, b.start - reach), min(n, b.stop + reach)
+        if hi - lo < n:  # 1. bound each row's k-th distance from its sorted neighbors
+            near = _sq_dists(points[rows], points[order[lo:hi]])
+            near[own, b.start - lo + own] = np.nan  # leave each point out
+            bound = np.partition(near, k - 1, axis=1)[:, k - 1]
+            # 2. the sorted range whose sort-axis gap is within some row's bound
+            lo = np.searchsorted(xs, (xq - np.sqrt(bound)).min())
+            hi = np.searchsorted(xs, (xq + np.sqrt(bound)).max(), side="right")
+            if lo > 0 and not _beyond(xq, xs[lo - 1], bound):
+                lo = 0
+            if hi < n and not _beyond(xq, xs[hi], bound):
+                hi = n
+        if hi - lo < n:  # 3. the candidates, in ascending vertex index
+            cols = np.sort(order[lo:hi])
+            sq = _sq_dists(points[rows], coords.take(cols, axis=1).T)
+            sq[own, np.searchsorted(cols, rows)] = np.nan
+        else:  # every point is a candidate: the row block as it stands
+            cols = None
+            sq = _sq_dists(points[rows], coords.T)
+            sq[own, rows] = np.nan
+        nearest = _nearest_k(sq, k)
+        winners = _block_vote(
+            classes[nearest if cols is None else cols[nearest]],
+            np.take_along_axis(sq, nearest, axis=1),
+            len(values),
         )
+        errors += int(np.count_nonzero(winners != classes[rows]))
     return ErrorReport(
         error_rate=errors / n,
         n_evaluated=n,

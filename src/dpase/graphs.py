@@ -206,18 +206,37 @@ def _parse_edge_lines(path) -> tuple[np.ndarray, list[int]]:
     return ids, linenos
 
 
+def _comments_start_lines(path) -> bool:
+    """Whether the file holds a ``#`` and every one begins its line, after
+    optional whitespace: then each is a comment line the line loop skips."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at = data.find(b"#")
+    found = at >= 0
+    while at >= 0:
+        if data[data.rfind(b"\n", 0, at) + 1:at].strip():
+            return False
+        at = data.find(b"#", at + 1)
+    return found
+
+
 def _load_edge_ids(path) -> np.ndarray | None:
     """The (m, 2) int64 ids of an edge list from one C-level parse.
 
     Returns None, leaving the file to the line loop and its messages,
-    when the file cannot be read or holds no edges, a ``#`` line, a
-    token that is not an int64, a line without two ids or a negative id.
+    when the file cannot be read or holds no edges, a ``#`` after a token,
+    a token that is not an int64, a line without two ids or a negative id.
     Whatever it does accept, it reads exactly as the line loop would.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy warns on a file with no data
-            ids = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+            try:
+                ids = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+            except ValueError:
+                if not _comments_start_lines(path):
+                    return None
+                ids = np.loadtxt(path, dtype=np.int64, ndmin=2, comments="#")
     except (OSError, ValueError):
         return None
     if ids.shape[1] != 2 or not len(ids) or ids.min() < 0:
@@ -231,9 +250,10 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     Duplicate edges collapse to a single edge and self-loops are dropped
     (a warning with the count is logged). When ``n_hint`` is given it
     fixes the vertex count and any id outside the valid range is an
-    error; otherwise the count is inferred from the largest id. A plain
-    file of id pairs is parsed in one vectorized pass; anything else goes
-    through the line loop, which names the first bad line.
+    error; otherwise the count is inferred from the largest id. A file of
+    id pairs, blank lines and whole-line ``#`` comments is parsed in one
+    vectorized pass; anything else goes through the line loop, which
+    names the first bad line.
     """
     if n_hint is not None and n_hint < 0:
         raise EdgeListError(f"{path}: vertex-count hint must be nonnegative, got {n_hint}")
@@ -272,12 +292,18 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
 
 
 def write_edge_list(A: np.ndarray, path) -> None:
-    """Write the upper-triangle edges of an adjacency matrix, 0-based."""
+    """Write the upper-triangle edges of an adjacency matrix, 0-based, in
+    row-major order. Rows are read a block at a time, so memory beyond A
+    and the text is O(block * n)."""
     A = validate_adjacency(A)
-    rows, cols = np.nonzero(np.triu(A, k=1))
-    text = "".join(f"{u} {v}\n" for u, v in zip(rows.tolist(), cols.tolist()))
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        for b in row_blocks(len(A)):
+            rows, cols = np.nonzero(A[b])
+            rows += b.start
+            upper = cols > rows
+            fh.write("".join(
+                f"{u} {v}\n" for u, v in zip(rows[upper].tolist(), cols[upper].tolist())
+            ))
 
 
 def load_labels(path, n: int) -> np.ndarray:

@@ -7,8 +7,17 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import traced_peak
-from dpase import ErrorReport, ParameterRangeError, chance_error, knn_predict, loocv_error
-from dpase import _shared
+from dpase import (
+    ErrorReport,
+    ParameterRangeError,
+    SbmParams,
+    ase,
+    chance_error,
+    knn_predict,
+    loocv_error,
+    sample_sbm,
+)
+from dpase import _shared, classify
 
 # Hand-enumerated 10-point fixture. With k=1 only point 9 is classified
 # correctly (its nearest neighbor is point 1 at squared distance 1);
@@ -198,18 +207,43 @@ _GRID = st.integers(-2, 2).map(float)
 
 @st.composite
 def grid_cases(draw, leave_one_out: bool):
-    """Points, labels, a valid k and a query, all on a small integer grid."""
+    """Points, labels, a valid k and a query, all on a small integer grid.
+
+    Some cases are degenerate for the sorted sweep: every point in one
+    place, nearly every point tied on the sort axis, or a few points
+    repeated. The grid may be scaled so that squared distances overflow
+    to inf or underflow to 0, k often takes its largest value, and class
+    ids may have gaps.
+    """
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2 if leave_one_out else 1, 24))
-    points = draw(st.lists(st.lists(_GRID, min_size=d, max_size=d), min_size=n, max_size=n))
-    labels = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    k = draw(st.integers(1, n - 1 if leave_one_out else n))
+    shape = draw(st.sampled_from(["grid", "grid", "identical", "stacked", "repeated"]))
+    if shape == "identical":
+        points = np.full((n, d), draw(_GRID))
+    elif shape == "stacked":
+        # Coordinate 0 takes two values 4 apart and the others stay within
+        # 2, so the sweep sorts on coordinate 0 and nearly all points tie.
+        first = draw(st.lists(st.sampled_from([0.0, 4.0]), min_size=n, max_size=n))
+        rest = draw(st.lists(st.integers(-1, 1).map(float), min_size=n * (d - 1),
+                             max_size=n * (d - 1)))
+        points = np.column_stack([first, np.reshape(rest, (n, d - 1))])
+    else:
+        distinct = 3 if shape == "repeated" else n
+        rows = draw(st.lists(st.lists(_GRID, min_size=d, max_size=d),
+                             min_size=distinct, max_size=distinct))
+        picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+        points = np.array(rows)[picks]
+    scale = draw(st.sampled_from([1.0, 1.0, 1e155, 1e-160]))
+    ids = draw(st.sampled_from([(1, 2, 3), (1, 2, 3), (-7, 3, 1_000_000)]))
+    labels = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    k_max = n - 1 if leave_one_out else n
+    k = k_max if draw(st.booleans()) else draw(st.integers(1, k_max))
     query = draw(st.lists(_GRID, min_size=d, max_size=d))
-    return np.array(points), np.array(labels), k, np.array(query)
+    return points * scale, np.array(labels), k, np.array(query) * scale
 
 
 class TestMultiBlockExactness:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(case=grid_cases(leave_one_out=True), rows=st.integers(1, 7))
     @example(
         case=(
@@ -218,19 +252,67 @@ class TestMultiBlockExactness:
         ),
         rows=2,
     ).via("ties at the cut")
+    @example(
+        case=(np.array([[0.0], [2e155], [-2e155], [1e155]]), np.array([1, 2, 2, 1]), 2,
+              np.zeros(1)),
+        rows=1,
+    ).via("the point itself must not rank among neighbors at an overflowed distance")
+    @example(
+        case=(np.array([[0.0], [1e-160], [3e-160], [1.0]]), np.array([3, 1, 1, 3]), 1,
+              np.zeros(1)),
+        rows=2,
+    ).via("squares that underflow to 0 tie with the point itself")
     def test_loocv_in_blocks_of_1_to_7_rows_matches_oracle(self, case, rows):
         points, labels, k, _ = case
         n = len(points)
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
             mp.setattr(_shared, "BLOCK_ENTRIES", rows * n)
             assert len(_shared.row_blocks(n)) == -(-n // rows)
             mine = loocv_error(points, labels, k).error_rate
         assert mine == oracles.brute_loocv_error(points, labels, k)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(case=grid_cases(leave_one_out=False))
     def test_knn_predict_matches_oracle(self, case):
         points, labels, k, query = case
-        assert knn_predict(points, labels, query, k) == oracles.brute_knn_predict(
-            points, labels, query, k
-        )
+        with np.errstate(over="ignore"):
+            mine = knn_predict(points, labels, query, k)
+        assert mine == oracles.brute_knn_predict(points, labels, query, k)
+
+
+class TestSweepWork:
+    """Distance entries evaluated per LOOCV call, counted at the kernel."""
+
+    @staticmethod
+    def entries(monkeypatch, points, labels) -> float:
+        counted = [0]
+        kernel = classify._sq_dists
+
+        def counting(queries, targets):
+            counted[0] += len(queries) * len(targets)
+            return kernel(queries, targets)
+
+        monkeypatch.setattr(classify, "_sq_dists", counting)
+        loocv_error(points, labels, 3)
+        return counted[0] / len(points) ** 2
+
+    @staticmethod
+    def sbm_embedding(n: int, seed: int):
+        params = SbmParams(B=np.array([[0.3, 0.1], [0.1, 0.2]]), pi=np.array([0.4, 0.6]))
+        graph = sample_sbm(params, n, np.random.default_rng(seed))
+        return ase(graph.adjacency, 2), graph.labels
+
+    def test_a_planar_embedding_prunes_most_pairs(self, monkeypatch):
+        # The full row blocks evaluate n^2.
+        points, labels = self.sbm_embedding(2000, 11)
+        assert self.entries(monkeypatch, points, labels) <= 0.25
+
+    def test_fifty_dimensions_cost_at_most_a_tenth_more(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(2000, 50))
+        labels = rng.integers(1, 3, size=2000)
+        assert self.entries(monkeypatch, points, labels) <= 1.1
+
+    def test_small_inputs_take_the_full_rows_only(self, monkeypatch):
+        points, labels = self.sbm_embedding(300, 13)
+        assert self.entries(monkeypatch, points, labels) == 1.0

@@ -342,6 +342,29 @@ class TestEdgeListIO:
         assert A.dtype == bool
         assert np.array_equal(A, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
+    def test_whole_line_comments_skip_the_line_loop(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError("line loop used")
+
+        path = tmp_path / "headed.txt"
+        path.write_text("# header\n  # indented\n0 1\n\n#\n1 2\n\t# trailing\n")
+        monkeypatch.setattr(graphs, "_parse_edge_lines", refuse)
+        A = load_edge_list(path)
+        assert np.array_equal(A, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+    def test_write_peak_memory_is_a_few_row_blocks(self, tmp_path):
+        # np.triu of the whole matrix and its mask took 2 n^2 bytes.
+        n = 1000
+        rng = np.random.default_rng(10)
+        A = np.zeros((n, n), dtype=bool)
+        u, v = rng.integers(0, n, size=(2, 3000))
+        A[u, v] = A[v, u] = True
+        np.fill_diagonal(A, False)
+        path = tmp_path / "sparse.txt"
+        peak = traced_peak(lambda: write_edge_list(A, path))
+        assert peak <= 0.25 * n * n
+        assert np.array_equal(load_edge_list(path, n_hint=n), A)
+
 
 _SMALL_IDS = st.integers(0, 8).map(str)
 _ODD_IDS = st.sampled_from(
@@ -353,16 +376,19 @@ _PADDING = st.sampled_from(["", "", " ", "\t"])
 
 @st.composite
 def edge_list_texts(draw) -> str:
-    """Small edge-list files of id pairs, blank lines and tabs; half of them
-    also mix in odd ids, three-token lines and comments."""
+    """Small edge-list files of id pairs, blank lines, tabs and whole-line
+    comments; half of them also mix in odd ids, three-token lines and a
+    ``#`` after a token."""
     odd = draw(st.booleans())
     ids_of = _IDS if odd else _SMALL_IDS
-    kinds = ["pair"] * 6 + (["three", "comment", "blank"] if odd else ["blank"])
+    kinds = ["pair"] * 6 + ["comment", "blank"] + (["three", "inline"] if odd else [])
     lines = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(kinds))
         if kind == "comment":
-            line = draw(st.sampled_from(["# header", "#", "  # indented"]))
+            line = draw(st.sampled_from(["# header", "#", "  # indented", "\t#", "# a # b"]))
+        elif kind == "inline":
+            line = draw(st.sampled_from(["1 2 # x", "2#c", "0 1#", "3 #4"]))
         elif kind == "blank":
             line = draw(st.sampled_from(["", "   ", "\t"]))
         else:
@@ -383,6 +409,12 @@ class TestEdgeListOracle:
     @example(text="0 1\n0 9\n", n_hint=3)
     @example(text="0 99999999999999999999\n", n_hint=4)
     @example(text="0 9223372036854775807\n", n_hint=None)
+    @example(text="# header\n1 2\n2 3\n", n_hint=None)
+    @example(text="# header\n0 1\n0 9\n", n_hint=3)
+    @example(text="# only comments\n  #\n", n_hint=2)
+    @example(text="0 1\n1 2 # x\n", n_hint=None)
+    @example(text="# header\n2#c\n", n_hint=None)
+    @example(text="# a # b\n0 1#c\n", n_hint=None)
     def test_matches_the_line_loop_oracle(self, tmp_path, caplog, text, n_hint):
         path = tmp_path / "edges.txt"
         path.write_text(text)
