@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError, row_blocks
+from ._shared import ParameterRangeError, is_symmetric, row_blocks
 
 INPUT_SYMMETRY_TOL = 1e-12
 # Below this size one dense solve costs less than loading ARPACK once:
@@ -60,20 +60,25 @@ class AlignmentResult:
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    """M as float64 after checking that it is square, finite and symmetric
+    within ``INPUT_SYMMETRY_TOL``, in that order.
+
+    A bool matrix is checked for exact symmetry on its one-byte entries
+    and only then copied to float64: it cannot hold a non-finite value,
+    and its 0/1 copy is symmetric within the tolerance exactly when it is
+    exactly symmetric, so the same inputs are accepted.
+    """
+    M = np.asarray(M)
+    is_bool = M.dtype == bool
+    if not is_bool:
+        M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    blocks = row_blocks(M.shape[0])
-    if not all(np.isfinite(M[b]).all() for b in blocks):
+    if not is_bool and not all(np.isfinite(M[b]).all() for b in row_blocks(len(M))):
         raise ValueError("matrix entries must be finite")
-    # Rows b against columns b from the block's first row on: every pair
-    # (i, j) with i <= j is compared once, which suffices for symmetry.
-    if any(
-        np.abs(M[b, b.start:] - M[b.start:, b].T).max() > INPUT_SYMMETRY_TOL
-        for b in blocks
-    ):
+    if not is_symmetric(M, 0.0 if is_bool else INPUT_SYMMETRY_TOL):
         raise ValueError("matrix is not symmetric")
-    return M
+    return M.astype(float) if is_bool else M
 
 
 def _lanczos(M: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +122,8 @@ def top_d_eigen(M: np.ndarray, d: int) -> EigenPairs:
     degenerate eigenspaces any orthonormal basis may be returned.
     Lanczos non-convergence raises ``np.linalg.LinAlgError``, and a d
     outside 1..n raises ``ParameterRangeError``. A bool 0/1 adjacency is
-    read as its float64 copy.
+    checked for symmetry on its one-byte entries, then decomposed as its
+    float64 copy.
     """
     M = _check_symmetric(M)
     n = M.shape[0]

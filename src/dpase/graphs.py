@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError, row_blocks
+from ._shared import ParameterRangeError, is_symmetric, mirror_upper, row_blocks
 
 log = logging.getLogger(__name__)
 
@@ -112,24 +112,22 @@ def validate_adjacency(A: np.ndarray) -> np.ndarray:
     Any numeric 0/1 matrix is accepted and checked as float64; a bool
     matrix is returned as is and skips the 0/1 check it cannot fail.
     Symmetry and hollowness must hold exactly (entrywise), not merely
-    within tolerance. The checks walk row blocks, so their temporaries
-    are O(block * n) rather than n x n.
+    within tolerance. Symmetry is checked tile against transposed tile
+    and the 0/1 check walks row blocks, so temporaries stay
+    O(``BLOCK_ENTRIES``) and O(block * n) rather than n x n.
     """
     A = np.asarray(A)
     if A.dtype != bool:
         A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
-    blocks = row_blocks(A.shape[0])
-    # Rows b against columns b from the block's first row on: every pair
-    # (i, j) with i <= j is compared once, which suffices for symmetry.
-    if not all(np.array_equal(A[b, b.start:], A[b.start:, b].T) for b in blocks):
+    if not is_symmetric(A):
         raise ValueError("adjacency matrix must be exactly symmetric")
     if np.any(np.diagonal(A) != 0):
         raise ValueError("adjacency matrix must have a zero diagonal")
     if A.dtype == bool:
         return A
-    if not all(np.all((A[b] == 0.0) | (A[b] == 1.0)) for b in blocks):
+    if not all(np.all((A[b] == 0.0) | (A[b] == 1.0)) for b in row_blocks(len(A))):
         raise ValueError("adjacency entries must be 0 or 1")
     return A != 0.0
 
@@ -152,11 +150,13 @@ def sample_sbm(params: SbmParams, n: int, rng: np.random.Generator) -> LabeledGr
     labels = sample_block_labels(params, n, rng)
     idx = labels - 1
     A = np.zeros((n, n), dtype=bool)
-    # Each row's upper-triangle draw is written to the row and its mirror
-    # column at once, so A is the only n x n buffer and memory beyond it is O(n).
+    # Each row's draw fills only its upper part, in row-major order; one
+    # tiled pass then mirrors it, so A is the only n x n buffer and no
+    # column is written one strided entry at a time.
     for i in range(n - 1):
         probs = params.B[idx[i], idx[i + 1:]]
-        A[i, i + 1:] = A[i + 1:, i] = rng.random(n - 1 - i) < probs
+        A[i, i + 1:] = rng.random(n - 1 - i) < probs
+    mirror_upper(A)
     return LabeledGraph(adjacency=A, labels=labels)
 
 

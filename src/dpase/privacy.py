@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError
+from ._shared import ParameterRangeError, mirror_upper
 from .embedding import ase
 from .graphs import validate_adjacency
 
@@ -83,9 +83,10 @@ def sample_symmetric_noise(
     The upper triangle including the diagonal is drawn i.i.d. from
     N(0, beta_sq) and mirrored, so every entry keeps variance exactly
     beta_sq (averaging two independent draws would halve it). Row i's
-    ``n - i`` draws go to ``E[i, i:]`` and ``E[i:, i]`` in one statement,
-    so the stream is consumed in row-major upper-triangle order and the
-    only n x n allocation is the result.
+    ``n - i`` draws go to ``E[i, i:]``, so the stream is consumed in
+    row-major upper-triangle order; one pass then copies each upper tile
+    onto its transposed lower tile, and the only n x n allocation is the
+    result.
     """
     beta_sq = scale.beta_sq if isinstance(scale, NoiseScale) else float(scale)
     if not beta_sq > 0:
@@ -95,7 +96,8 @@ def sample_symmetric_noise(
     sd = math.sqrt(beta_sq)
     E = np.empty((n, n))
     for i in range(n):
-        E[i, i:] = E[i:, i] = rng.normal(0.0, sd, n - i)
+        E[i, i:] = rng.normal(0.0, sd, n - i)
+    mirror_upper(E)
     return E
 
 

@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 
 import dpase
 import oracles
+from conftest import TILE_CASE_ENTRIES, TILE_CASE_N, traced_peak
 from dpase import (
     PrivacyBudget,
     SbmParams,
@@ -22,7 +23,7 @@ from dpase import (
     sample_symmetric_noise,
     top_d_eigen,
 )
-from dpase.embedding import LANCZOS_MIN_N
+from dpase.embedding import LANCZOS_MIN_N, _check_symmetric
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
 # roots of the characteristic polynomial of B_TWO_BLOCK (quadratic formula)
@@ -102,6 +103,62 @@ class TestTopDEigen:
             M = random_symmetric(n, rng)
             pairs = top_d_eigen(M, n)
             assert abs(pairs.values.sum() - np.trace(M)) < 1e-8
+
+
+def private_matrix(n: int, seed: int) -> np.ndarray:
+    """A + E for a blockmodel graph A and its calibrated noise E: a float
+    matrix that is exactly symmetric, as every ``dp_ase`` input is."""
+    params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
+    M = sample_symmetric_noise(
+        n, calibrate_noise(n, 2, PrivacyBudget(0.1, 0.001)), np.random.default_rng(seed)
+    )
+    M += sample_sbm(params, n, np.random.default_rng(seed)).adjacency
+    return M
+
+
+class TestSymmetryCheck:
+    @pytest.mark.parametrize("i, j", TILE_CASE_ENTRIES)
+    def test_one_asymmetric_entry_in_any_tile_is_rejected(self, i, j):
+        M = private_matrix(TILE_CASE_N, 50)
+        A = M > 0.5
+        M[i, j] += 1e-11
+        A[i, j] = not A[i, j]
+        for bad in (M, A):
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                top_d_eigen(bad, 2)
+
+    @pytest.mark.parametrize("i, j", TILE_CASE_ENTRIES)
+    def test_asymmetry_within_tolerance_is_accepted(self, i, j):
+        M = private_matrix(TILE_CASE_N, 51)
+        M[i, j] += 1e-13
+        assert _check_symmetric(M) is M
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_reported_ahead_of_an_asymmetry(self, value):
+        # The asymmetry sits in an earlier tile pair than the bad value.
+        M = private_matrix(TILE_CASE_N, 52)
+        M[10, 300] += 1.0
+        M[595, 590] = value
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            top_d_eigen(M, 2)
+
+    @pytest.mark.parametrize("n", [300, LANCZOS_MIN_N])
+    def test_bool_adjacency_is_decomposed_as_its_float_copy(self, n):
+        params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
+        A = sample_sbm(params, n, np.random.default_rng(53)).adjacency
+        checked = _check_symmetric(A)
+        assert checked.dtype == float and np.array_equal(checked, A)
+        pairs, reference = top_d_eigen(A, 2), top_d_eigen(A.astype(float), 2)
+        assert np.array_equal(pairs.values, reference.values)
+        assert np.array_equal(pairs.vectors, reference.vectors)
+
+    def test_peak_memory_is_a_few_tiles(self):
+        # Row blocks against column slabs took about 0.13 n^2 at n = 1000;
+        # one float64 copy of the matrix would be 1.
+        n = 1000
+        M = private_matrix(n, 54)
+        peak = traced_peak(lambda: _check_symmetric(M))
+        assert peak <= 0.05 * n * n * 8
 
 
 def count_eigsh_calls(monkeypatch) -> list:

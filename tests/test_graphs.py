@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import traced_peak
+from conftest import TILE_CASE_ENTRIES, TILE_CASE_N, traced_peak
 from dpase import (
     EdgeListError,
     LabeledGraph,
@@ -105,6 +105,14 @@ class TestValidateAdjacency:
         assert valid.dtype == bool and np.array_equal(valid, base)
         assert validate_adjacency(valid) is valid
 
+    @pytest.mark.parametrize("dtype", [bool, float])
+    @pytest.mark.parametrize("i, j", TILE_CASE_ENTRIES)
+    def test_one_asymmetric_entry_in_any_tile_is_rejected(self, dtype, i, j):
+        A = sample_sbm(two_block_params(), TILE_CASE_N, np.random.default_rng(9)).adjacency.copy()
+        A[i, j] = not A[i, j]
+        with pytest.raises(ValueError, match="^adjacency matrix must be exactly symmetric$"):
+            validate_adjacency(A.astype(dtype))
+
     @pytest.mark.parametrize("dtype", [float, int, np.int8, bool])
     def test_returns_a_bool_matrix_equal_to_the_nonzero_pattern(self, dtype):
         A = sample_sbm(two_block_params(), 30, np.random.default_rng(8)).adjacency.astype(dtype)
@@ -114,10 +122,13 @@ class TestValidateAdjacency:
 
     def test_peak_memory_is_a_few_row_blocks(self):
         # The whole-matrix checks made n x n bool temporaries: 0.25 n^2.
+        # A 256 x 256 tile comparison takes 64 KiB for its result and
+        # 16 KiB of numpy iterator buffers, about 0.0105 n^2 at n = 1000;
+        # an n x n bool temporary would be 0.125 n^2.
         n = 1000
         A = sample_sbm(two_block_params(), n, np.random.default_rng(6)).adjacency
         peak = traced_peak(lambda: validate_adjacency(A))
-        assert peak <= 0.05 * n * n * 8
+        assert peak <= 0.0125 * n * n * 8
 
 
 class TestSampleSbm:
@@ -149,7 +160,7 @@ class TestSampleSbm:
         assert np.array_equal(g1.adjacency, g2.adjacency)
         assert np.array_equal(g1.labels, g2.labels)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 300, 513])
     def test_bit_equal_to_upper_triangle_plus_transpose(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         graph = sample_sbm(two_block_params(), n, rng)

@@ -127,7 +127,7 @@ class TestSampleSymmetricNoise:
         with pytest.raises(ValueError):
             sample_symmetric_noise(10, -1.0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 300, 513])
     def test_bit_equal_to_whole_triangle_draw_mirrored(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         E = sample_symmetric_noise(n, 0.3, rng)
