@@ -29,13 +29,17 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def _tile_side() -> int:
+    return max(1, math.isqrt(BLOCK_ENTRIES))
+
+
 def tile_pairs(n: int) -> list[tuple[slice, slice]]:
     """Pairs ``(I, J)`` of square tiles of an n x n matrix, J at or right
     of I, so the tiles ``M[I, J]`` cover every (i, j) with i <= j and no
     pair (i, j) lies in two of them. Tiles have about ``BLOCK_ENTRIES``
     entries, so a tile and its transposed partner ``M[J, I]`` are read
     from cache instead of one strided column at a time."""
-    side = max(1, math.isqrt(BLOCK_ENTRIES))
+    side = _tile_side()
     edges = [slice(i, min(i + side, n)) for i in range(0, n, side)]
     return [(I, J) for a, I in enumerate(edges) for J in edges[a:]]
 
@@ -57,11 +61,25 @@ def mirror_upper(M: np.ndarray) -> None:
 
 def is_symmetric(M: np.ndarray, tol: float = 0.0) -> bool:
     """Whether ``|M[i, j] - M[j, i]| <= tol`` for every pair, comparing each
-    upper tile with its transposed lower partner once. A tile pair that is
-    exactly equal needs no subtraction, so an exactly symmetric matrix
-    (bool ones included) is checked with one-byte temporaries."""
-    return all(
-        np.array_equal(M[I, J], M[J, I].T)
-        or (tol > 0 and np.abs(M[I, J] - M[J, I].T).max() <= tol)
-        for I, J in tile_pairs(len(M))
-    )
+    upper tile with its transposed lower partner once. Tile pairs are
+    compared for exact equality, with one-byte temporaries, so an exactly
+    symmetric matrix (bool ones included) needs no subtraction. From the
+    first unequal pair on, a positive tol (meant for finite matrices) is
+    checked on each pair's difference in one reused tile buffer."""
+    buffer = None
+    for I, J in tile_pairs(len(M)):
+        upper, lower = M[I, J], M[J, I].T
+        if buffer is None:
+            if np.array_equal(upper, lower):
+                continue
+            if tol <= 0:
+                return False
+            buffer = np.empty(_tile_side() ** 2)
+        diff = buffer[: upper.size].reshape(upper.shape)
+        # Copy the transposed tile first: numpy buffers every strided
+        # operand of a 2-D ufunc call in its own 64 KB block.
+        np.copyto(diff, lower)
+        np.subtract(upper, diff, out=diff)
+        if not np.abs(diff, out=diff).max() <= tol:
+            return False
+    return True

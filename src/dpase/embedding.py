@@ -6,14 +6,21 @@ largest eigenvalue magnitude: each vertex i maps to row i of
 real when the retained set contains negative eigenvalues, and reduces to
 the usual square root when all retained eigenvalues are positive.
 
+Every symmetric matrix is decomposed from one layout, its row-major
+upper triangle packed into a vector of n (n + 1) / 2 float64 values
+(:class:`PackedSymmetric`), so a float matrix costs 4 n^2 bytes instead
+of 8 n^2. A dense input is checked and then packed; a bool adjacency is
+packed straight from its one-byte rows, with no n x n float64 copy.
+
 The eigenpairs come from one of two solvers. Small matrices, and
-requests for at least half the spectrum, take a full dense symmetric
-decomposition (LAPACK) that is then truncated. Matrices with at least
-``LANCZOS_MIN_N`` rows take ARPACK's restarted Lanczos iteration, which
-finds only the d wanted pairs with matrix-vector products. Both paths
-order the pairs the same way and fix each eigenvector's sign so that its
-largest-magnitude entry (the first, if several tie) is positive, so the
-embedding's signs do not depend on which solver or BLAS build produced it.
+requests for at least half the spectrum, are unpacked and take a full
+dense symmetric decomposition (LAPACK) that is then truncated. Matrices
+with at least ``LANCZOS_MIN_N`` rows take ARPACK's restarted Lanczos
+iteration, which finds only the d wanted pairs with packed
+matrix-vector products (BLAS ``dspmv``). Both paths order the pairs the
+same way and fix each eigenvector's sign so that its largest-magnitude
+entry (the first, if several tie) is positive, so the embedding's signs
+do not depend on which solver or BLAS build produced it.
 
 Embeddings are only identified up to an orthogonal transform, so any
 comparison between two embeddings must go through
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError, is_symmetric, row_blocks
+from ._shared import BLOCK_ENTRIES, ParameterRangeError, is_symmetric, mirror_upper, row_blocks
 
 INPUT_SYMMETRY_TOL = 1e-12
 # Below this size one dense solve costs less than loading ARPACK once:
@@ -59,14 +66,77 @@ class AlignmentResult:
     aligned_distance: float
 
 
-def _check_symmetric(M: np.ndarray) -> np.ndarray:
-    """M as float64 after checking that it is square, finite and symmetric
-    within ``INPUT_SYMMETRY_TOL``, in that order.
+@dataclass(frozen=True)
+class PackedSymmetric:
+    """A symmetric n x n float64 matrix held as its upper triangle.
 
-    A bool matrix is checked for exact symmetry on its one-byte entries
-    and only then copied to float64: it cannot hold a non-finite value,
-    and its 0/1 copy is symmetric within the tolerance exactly when it is
-    exactly symmetric, so the same inputs are accepted.
+    ``data`` has length n (n + 1) / 2 and holds each row's part on and
+    right of the diagonal, ``M[i, i:]``, one row after another. This is
+    also the column-major lower packed layout that BLAS calls ``'L'``.
+    """
+
+    n: int
+    data: np.ndarray
+
+    def __post_init__(self):
+        size = self.n * (self.n + 1) // 2
+        if self.data.dtype != float or self.data.shape != (size,):
+            raise ValueError(
+                f"a packed {self.n} x {self.n} matrix needs {size} float64 values, "
+                f"got shape {self.data.shape} of {self.data.dtype}"
+            )
+
+    def _blocks(self):
+        """(rows, mask, part) for each block of rows: ``M[rows, rows.start:][mask]``
+        lists the block's entries on and right of the diagonal in packed
+        order, and ``data[part]`` holds them."""
+
+        def start(i: int) -> int:  # where row i begins in ``data``
+            return i * self.n - i * (i - 1) // 2
+
+        for rows in row_blocks(self.n):
+            mask = np.arange(rows.start, self.n) >= np.arange(rows.start, rows.stop)[:, None]
+            yield rows, mask, slice(start(rows.start), start(rows.stop))
+
+    @classmethod
+    def pack(cls, M: np.ndarray) -> PackedSymmetric:
+        """The upper triangle of the square matrix M, packed row by row."""
+        n = len(M)
+        packed = cls(n, np.empty(n * (n + 1) // 2))
+        for rows, mask, part in packed._blocks():
+            packed.data[part] = M[rows, rows.start:][mask]
+        return packed
+
+    def add(self, M: np.ndarray) -> None:
+        """Add the upper triangle of the square n x n matrix M in place."""
+        for rows, mask, part in self._blocks():
+            self.data[part] += M[rows, rows.start:][mask]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """M @ v from the packed values (BLAS ``dspmv``)."""
+        # Imported here like ARPACK: only the Lanczos path multiplies.
+        from scipy.linalg.blas import dspmv
+
+        return dspmv(self.n, 1.0, self.data, np.ravel(v), lower=1)
+
+    def dense(self) -> np.ndarray:
+        """The full symmetric n x n matrix."""
+        M = np.empty((self.n, self.n))
+        for rows, mask, part in self._blocks():
+            M[rows, rows.start:][mask] = self.data[part]
+        mirror_upper(M)
+        return M
+
+
+def _check_symmetric(M: np.ndarray) -> np.ndarray:
+    """M after checking that it is square, finite and symmetric within
+    ``INPUT_SYMMETRY_TOL``, in that order: a bool matrix as it is, any
+    other as float64.
+
+    A bool matrix is checked for exact symmetry on its one-byte entries:
+    it cannot hold a non-finite value, and its 0/1 values are symmetric
+    within the tolerance exactly when they are exactly symmetric, so the
+    same inputs are accepted as for its float64 copy.
     """
     M = np.asarray(M)
     is_bool = M.dtype == bool
@@ -78,10 +148,21 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if not is_symmetric(M, 0.0 if is_bool else INPUT_SYMMETRY_TOL):
         raise ValueError("matrix is not symmetric")
-    return M.astype(float) if is_bool else M
+    return M
 
 
-def _lanczos(M: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
+    """M checked and packed; a packed M is only checked to be finite,
+    since it cannot hold an asymmetric pair."""
+    if not isinstance(M, PackedSymmetric):
+        return PackedSymmetric.pack(_check_symmetric(M))
+    chunks = range(0, len(M.data), BLOCK_ENTRIES)
+    if not all(np.isfinite(M.data[c:c + BLOCK_ENTRIES]).all() for c in chunks):
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
+def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d eigenpairs of largest magnitude from ARPACK, to machine precision.
 
     The start vector comes from its own fixed-seed generator, so results
@@ -89,12 +170,13 @@ def _lanczos(M: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     # Imported here so that runs which never reach this path do not pay
     # scipy's import time and memory.
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    n = M.shape[0]
+    n = P.n
+    op = LinearOperator((n, n), matvec=P.matvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        return eigsh(M, k=d, which="LM", v0=v0, tol=0.0, maxiter=10 * n)
+        return eigsh(op, k=d, which="LM", v0=v0, tol=0.0, maxiter=10 * n)
     except ArpackNoConvergence as exc:
         raise np.linalg.LinAlgError(
             f"Lanczos eigensolver did not converge for d={d} at n={n}: {exc}"
@@ -107,39 +189,42 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * np.where(lead < 0, -1.0, 1.0)
 
 
-def top_d_eigen(M: np.ndarray, d: int) -> EigenPairs:
+def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     """Eigenpairs of a symmetric matrix with the d largest |eigenvalues|.
 
-    With ``n >= LANCZOS_MIN_N`` and ``2 d < n`` ARPACK's Lanczos solver
-    computes just the d pairs; otherwise a full dense symmetric
-    decomposition is truncated. Ties in magnitude rank the positive
-    eigenvalue first, then fall back to ascending position among the
-    solver's ascending eigenvalues, so results are deterministic. On the
-    Lanczos path a +/- magnitude tie that straddles position d is
-    resolved by the solver, which returns only d pairs. Each
-    eigenvector's sign is fixed so that its largest-|entry| component
-    (the first, if several tie) is positive. Within numerically
-    degenerate eigenspaces any orthonormal basis may be returned.
-    Lanczos non-convergence raises ``np.linalg.LinAlgError``, and a d
-    outside 1..n raises ``ParameterRangeError``. A bool 0/1 adjacency is
-    checked for symmetry on its one-byte entries, then decomposed as its
-    float64 copy.
+    M is a square array or a :class:`PackedSymmetric`. With
+    ``n >= LANCZOS_MIN_N`` and ``2 d < n`` ARPACK's Lanczos solver
+    computes just the d pairs from packed mat-vecs; otherwise the matrix
+    is unpacked and a full dense symmetric decomposition is truncated.
+    Ties in magnitude rank the positive eigenvalue first, then fall back
+    to ascending position among the solver's ascending eigenvalues, so
+    results are deterministic. On the Lanczos path a +/- magnitude tie
+    that straddles position d is resolved by the solver, which returns
+    only d pairs. Each eigenvector's sign is fixed so that its
+    largest-|entry| component (the first, if several tie) is positive.
+    Within numerically degenerate eigenspaces any orthonormal basis may
+    be returned. Lanczos non-convergence raises ``np.linalg.LinAlgError``,
+    and a d outside 1..n raises ``ParameterRangeError``. A square array
+    is checked to be finite and symmetric within ``INPUT_SYMMETRY_TOL``
+    (a bool 0/1 adjacency exactly, on its one-byte entries) and then
+    packed from its upper triangle.
     """
-    M = _check_symmetric(M)
-    n = M.shape[0]
+    P = _packed(M)
+    n = P.n
     if not 1 <= d <= n:
         raise ParameterRangeError(f"embedding dimension must satisfy 1 <= d <= {n}, got {d}")
     # 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach.
     if n >= LANCZOS_MIN_N and 2 * d < n:
-        w, V = _lanczos(M, d)
+        w, V = _lanczos(P, d)
     else:
-        w, V = np.linalg.eigh(M)
+        w, V = np.linalg.eigh(P.dense())
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), w[i] < 0, i))[:d]
     return EigenPairs(values=w[order], vectors=_fix_signs(V[:, order]))
 
 
-def ase(M: np.ndarray, d: int) -> np.ndarray:
-    """Adjacency spectral embedding of a symmetric matrix.
+def ase(M: np.ndarray | PackedSymmetric, d: int) -> np.ndarray:
+    """Adjacency spectral embedding of a symmetric matrix, given as a
+    square array or a :class:`PackedSymmetric`.
 
     Returns the (n, d) matrix of estimated latent positions
     ``V * sqrt(|w|)`` built from the top-d eigenpairs by magnitude.

@@ -2,9 +2,13 @@
 
 The release works in three steps: calibrate a per-entry Gaussian
 variance from the privacy budget, add a symmetric noise matrix to the
-adjacency matrix, and spectrally embed the perturbed matrix. Each call
-is a standalone (alpha, delta) release; composition across repeated
-queries is not accounted for here.
+adjacency matrix, and spectrally embed the perturbed matrix. The
+perturbed matrix is symmetric, so ``dp_ase`` holds only its upper
+triangle, packed row by row (:class:`~dpase.embedding.PackedSymmetric`):
+the noise of the whole triangle is drawn into one vector in row-major
+order and the adjacency is added into it in place. Each call is a
+standalone (alpha, delta) release; composition across repeated queries
+is not accounted for here.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._shared import ParameterRangeError, mirror_upper
-from .embedding import ase
+from .embedding import PackedSymmetric, ase
 from .graphs import validate_adjacency
 
 
@@ -84,9 +88,10 @@ def sample_symmetric_noise(
     N(0, beta_sq) and mirrored, so every entry keeps variance exactly
     beta_sq (averaging two independent draws would halve it). Row i's
     ``n - i`` draws go to ``E[i, i:]``, so the stream is consumed in
-    row-major upper-triangle order; one pass then copies each upper tile
-    onto its transposed lower tile, and the only n x n allocation is the
-    result.
+    row-major upper-triangle order, the order of ``dp_ase``'s packed
+    draw, and the values are bit-identical to the rows of that draw. One
+    pass then copies each upper tile onto its transposed lower tile, and
+    the only n x n allocation is the result.
     """
     beta_sq = scale.beta_sq if isinstance(scale, NoiseScale) else float(scale)
     if not beta_sq > 0:
@@ -109,12 +114,16 @@ def dp_ase(
     Perturbs the whole matrix, diagonal included, and embeds the result.
     The perturbed matrix is used as-is: entries are neither clipped back
     to [0, 1] nor re-binarized, and the diagonal is not re-zeroed, since
-    any such post-processing would change the released object.
+    any such post-processing would change the released object. It is
+    held as its packed upper triangle: the noise of all n (n + 1) / 2
+    entries is drawn at once, in the row-major order (and with the
+    values) of ``sample_symmetric_noise``, and each row ``A[i, i:]`` is
+    added into it in place, so the only large buffer it allocates is
+    4 n^2 bytes.
     """
     A = validate_adjacency(A)
     n = A.shape[0]
     scale = calibrate_noise(n, d, budget)
-    # Adding A into the noise in place keeps one n x n buffer alive, not two.
-    M = sample_symmetric_noise(n, scale, rng)
-    M += A
+    M = PackedSymmetric(n, rng.normal(0.0, math.sqrt(scale.beta_sq), n * (n + 1) // 2))
+    M.add(A)
     return ase(M, d)

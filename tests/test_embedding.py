@@ -23,7 +23,8 @@ from dpase import (
     sample_symmetric_noise,
     top_d_eigen,
 )
-from dpase.embedding import LANCZOS_MIN_N, _check_symmetric
+from dpase import _shared
+from dpase.embedding import LANCZOS_MIN_N, PackedSymmetric, _check_symmetric, _packed
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
 # roots of the characteristic polynomial of B_TWO_BLOCK (quadratic formula)
@@ -146,11 +147,22 @@ class TestSymmetryCheck:
     def test_bool_adjacency_is_decomposed_as_its_float_copy(self, n):
         params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
         A = sample_sbm(params, n, np.random.default_rng(53)).adjacency
-        checked = _check_symmetric(A)
-        assert checked.dtype == float and np.array_equal(checked, A)
+        assert _check_symmetric(A) is A
+        packed = _packed(A)
+        assert packed.data.dtype == float and np.array_equal(packed.dense(), A)
         pairs, reference = top_d_eigen(A, 2), top_d_eigen(A.astype(float), 2)
         assert np.array_equal(pairs.values, reference.values)
         assert np.array_equal(pairs.vectors, reference.vectors)
+
+    def test_peak_memory_within_tolerance_is_one_tile(self):
+        # Every tile pair differs by about 1e-13, so each one is subtracted;
+        # one reused 256 x 256 float64 buffer is 0.066 n^2 at n = 1000.
+        n = 1000
+        M = private_matrix(n, 55)
+        M += np.triu(np.full((n, n), 1e-13), 1)
+        assert _check_symmetric(M) is M
+        peak = traced_peak(lambda: _check_symmetric(M))
+        assert peak <= 0.08 * n * n * 8
 
     def test_peak_memory_is_a_few_tiles(self):
         # Row blocks against column slabs took about 0.13 n^2 at n = 1000;
@@ -159,6 +171,49 @@ class TestSymmetryCheck:
         M = private_matrix(n, 54)
         peak = traced_peak(lambda: _check_symmetric(M))
         assert peak <= 0.05 * n * n * 8
+
+
+class TestPackedSymmetric:
+    @pytest.mark.parametrize("block_entries", [None, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257])
+    def test_holds_the_row_major_upper_triangle(self, monkeypatch, n, block_entries):
+        # Packing walks row blocks of about BLOCK_ENTRIES entries; 7 makes
+        # blocks of one row (n > 3) or of several short rows (n <= 3).
+        if block_entries is not None:
+            monkeypatch.setattr(_shared, "BLOCK_ENTRIES", block_entries)
+        M = random_symmetric(n, np.random.default_rng(n))
+        packed = PackedSymmetric.pack(M)
+        assert np.array_equal(packed.data, M[np.triu_indices(n)])
+        assert np.array_equal(packed.dense(), M)
+        packed.add(M > 0)
+        assert np.array_equal(packed.data, (M + (M > 0))[np.triu_indices(n)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000])
+    def test_matvec_agrees_with_the_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        M, v = random_symmetric(n, rng), rng.normal(size=n)
+        expected = M @ v
+        got = PackedSymmetric.pack(M).matvec(v)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="needs 6 float64 values"):
+            PackedSymmetric(3, np.zeros(5))
+
+    def test_non_finite_entry_is_rejected(self):
+        data = np.zeros(6)
+        data[4] = np.inf
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            top_d_eigen(PackedSymmetric(3, data), 1)
+
+    def test_peak_memory_of_a_bool_graph_at_lanczos_size_is_about_half_a_matrix(self):
+        # The packed float64 copy of A (0.5 n^2) plus the Lanczos work
+        # arrays; the dense float64 copy it replaces alone would be 1.
+        n = LANCZOS_MIN_N
+        params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
+        A = sample_sbm(params, n, np.random.default_rng(56)).adjacency
+        peak = traced_peak(lambda: ase(A, 2))
+        assert peak <= 0.65 * n * n * 8
 
 
 def count_eigsh_calls(monkeypatch) -> list:

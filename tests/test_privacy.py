@@ -6,6 +6,7 @@ import scipy.stats
 
 import oracles
 from conftest import traced_peak
+from dpase import privacy as privacy_module
 from dpase import (
     CalibrationError,
     ParameterRangeError,
@@ -219,16 +220,38 @@ class TestDpAse:
 
         assert mean_gap(800) < mean_gap(100)
 
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    def test_packed_matrix_is_the_whole_triangle_draw_plus_the_graph(self, monkeypatch, n):
+        # The released matrix reaches ``ase`` as the packed upper triangle
+        # of A + E, with E from the one-shot draw of the whole triangle.
+        graph = sample_sbm(two_block_params(), n, np.random.default_rng(21))
+        budget = PrivacyBudget(0.3, 0.001)
+        seen, real = [], privacy_module.ase
+
+        def spy(M, d):
+            seen.append(M)
+            return real(M, d)
+
+        monkeypatch.setattr(privacy_module, "ase", spy)
+        rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
+        dp_ase(graph.adjacency, 1, budget, rng)
+        E = oracles.triu_scatter_noise(n, calibrate_noise(n, 1, budget).beta_sq, ref_rng)
+        (packed,) = seen
+        upper = np.triu_indices(n)
+        assert packed.data.tobytes() == (graph.adjacency + E)[upper].tobytes()
+        assert rng.random() == ref_rng.random()  # same share of the stream used
+
     def test_peak_memory_at_lanczos_size_is_about_one_matrix(self):
-        # The noise matrix plus small blocks of the input checks and the
-        # Lanczos work arrays; a second n x n buffer would make it 2.
+        # One matrix, the packed A + E (0.5 n^2 float64), plus small blocks
+        # of the input checks and the Lanczos work arrays; a dense float64
+        # n x n buffer alone would make it 1.
         n = 1000
         graph = sample_sbm(two_block_params(), n, np.random.default_rng(19))
         budget = PrivacyBudget(0.1, 0.001)
         peak = traced_peak(
             lambda: dp_ase(graph.adjacency, 2, budget, np.random.default_rng(20))
         )
-        assert peak <= 1.3 * n * n * 8
+        assert peak <= 0.65 * n * n * 8
 
     def test_rejects_invalid_adjacency(self):
         bad = np.array([[0.0, 0.5], [0.5, 0.0]])

@@ -80,3 +80,17 @@ class TestIsSymmetric:
             assert not _shared.is_symmetric(bad)
             assert not _shared.is_symmetric(bad, 1e-10)
             assert _shared.is_symmetric(bad, 1e-8)
+
+    @CASES
+    def test_every_tile_pair_is_held_to_the_tolerance(self, tile_side, n):
+        # All pairs differ by up to 5e-11, so every tile pair after the
+        # first unequal one goes through the subtraction.
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(n, n))
+        M += M.T
+        M += np.triu(rng.uniform(0.0, 5e-11, size=(n, n)), 1)
+        assert _shared.is_symmetric(M, 1e-10)
+        if n >= 2:
+            assert not _shared.is_symmetric(M)
+            M[n - 1, n - 2] += 1e-9
+            assert not _shared.is_symmetric(M, 1e-10)

@@ -26,7 +26,7 @@ from dpase import (
     run_privacy_grid,
     sample_sbm,
 )
-from dpase import classify, sweeps
+from dpase import classify, embedding, sweeps
 
 
 def sim_source() -> SimulationSource:
@@ -153,16 +153,22 @@ class TestFailureTagging:
 
     def test_lanczos_non_convergence_is_tagged_and_isolated(self, monkeypatch):
         # The private solve at n = 1000 fails to converge; the n = 1100
-        # cell and both plain references still compute.
+        # cell and both plain references still compute. Each n has one
+        # cell, whose plain reference is solved before its private matrix,
+        # so the solves are told apart by their order per n.
         real = scipy.sparse.linalg.eigsh
+        solves = defaultdict(list)
 
         def flaky(M, **kwargs):
-            if M.shape[0] == 1000 and not np.all((M == 0.0) | (M == 1.0)):
+            n = M.shape[0]
+            solves[n].append("plain" if not solves[n] else "private")
+            if n == 1000 and solves[n][-1] == "private":
                 raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
             return real(M, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
         records = run_n_sweep(sim_source(), [1000, 1100], 2, 0.5, 0.01, 3, 1, 0)
+        assert solves == {1000: ["plain", "private"], 1100: ["plain", "private"]}
         by_n = {r.n: r for r in records}
         assert by_n[1000].status == "eigen_error"
         assert by_n[1000].error_dp is None
@@ -192,6 +198,44 @@ class TestFailureTagging:
         monkeypatch.setattr(module, name, planted)
         with pytest.raises(ValueError, match="planted bug"):
             run_privacy_grid(sim_source(), 30, 2, [0.5], [0.01], 3, 1, 0)
+
+
+class TestTightCorner:
+    def test_lanczos_cell_agrees_with_the_dense_solve(self, monkeypatch):
+        # alpha = delta = 0.001 at n = 1000: the wanted eigenpairs sit near
+        # the noise bulk, where ARPACK needs the most restarts. The packed
+        # Lanczos solve must match a dense decomposition of the same matrix.
+        solves = []
+        real = scipy.sparse.linalg.eigsh
+
+        def counted(*args, **kwargs):
+            solves.append(kwargs["k"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+
+        def run():
+            private, real_dp_ase = [], sweeps.dp_ase
+
+            def spy(*args):
+                private.append(real_dp_ase(*args))
+                return private[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(sweeps, "dp_ase", spy)
+                (record,) = run_n_sweep(sim_source(), [1000], 2, 0.001, 0.001, 3, 1, 0)
+            return record, private[0]
+
+        record, X = run()
+        assert solves == [2, 2]  # the plain reference and the private matrix
+        monkeypatch.setattr(embedding, "LANCZOS_MIN_N", 10**9)
+        dense_record, X_dense = run()
+        assert solves == [2, 2]
+        assert record.status == dense_record.status == "ok"
+        assert np.abs(X - X_dense).max() <= 1e-10 * np.abs(X_dense).max()
+        assert record.error_dp == dense_record.error_dp
+        assert record.error_ase == dense_record.error_ase
+        assert record.fnorm == pytest.approx(dense_record.fnorm, rel=1e-10)
 
 
 class TestDatasetSource:
