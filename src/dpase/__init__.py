@@ -5,6 +5,7 @@ from .classify import ErrorReport, chance_error, knn_predict, loocv_error
 from .embedding import (
     AlignmentResult,
     EigenPairs,
+    PackedSymmetric,
     ase,
     frobenius_distance,
     procrustes_align,
@@ -53,6 +54,7 @@ __all__ = [
     "ErrorReport",
     "LabeledGraph",
     "NoiseScale",
+    "PackedSymmetric",
     "ParameterRangeError",
     "PrivacyBudget",
     "SbmParams",

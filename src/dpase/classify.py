@@ -12,11 +12,11 @@ and walked in blocks of about ``BLOCK_ENTRIES / n`` consecutive sorted
 points. Each block's k-th distances to its sorted neighbors bound the
 true ones from above, and only the points whose gap along the sort axis
 is within that bound can be nearer, so only those get full distances.
-Every candidate tied with the k-th distance is kept and ranked by
-(distance, index) before the cut, and one vectorized vote per block
-applies the tie rules above exactly as a full sort would. Where one
-coordinate prunes nothing (small n, or many dimensions), a block
-measures all n points, as a plain row-block pass would.
+They are one slice of the sorted points, all n of them where one
+coordinate prunes nothing (small n, or many dimensions). Every candidate
+tied with the k-th distance is kept and ranked by (distance, vertex
+index) before the cut, and one vectorized vote per block applies the tie
+rules above exactly as a full sort would.
 """
 
 from __future__ import annotations
@@ -57,18 +57,18 @@ def _sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest_k(sq: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k nearest, ranked by (distance, index).
+def _nearest_k(sq: np.ndarray, k: int, keys: np.ndarray) -> np.ndarray:
+    """Column indices of each row's k nearest, ranked by (distance, key).
 
-    A partial sort finds each row's k-th smallest distance; every column
-    at or below it is a candidate, so a tie across the cut is kept. The
-    candidates come out row-major with ascending columns, and a stable
-    sort by (row, distance) keeps that column order among equal distances.
-    A NaN entry sorts last and is never a candidate.
+    ``keys`` holds each column's vertex index, so columns at equal
+    distance rank by ascending vertex index in whatever order the columns
+    come. A partial sort finds each row's k-th smallest distance; every
+    column at or below it is a candidate, so a tie across the cut is
+    kept. A NaN entry sorts last and is never a candidate.
     """
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
     rows, cols = np.nonzero(sq <= kth)
-    ranked = cols[np.lexsort((sq[rows, cols], rows))]
+    ranked = cols[np.lexsort((keys[cols], sq[rows, cols], rows))]
     counts = np.bincount(rows, minlength=len(sq))
     starts = np.cumsum(counts) - counts
     return ranked[starts[:, None] + np.arange(k)]
@@ -127,7 +127,7 @@ def knn_predict(
     _require_finite(query)
     values, classes = np.unique(train_labels, return_inverse=True)
     sq = _sq_dists(query[None, :], train_points)
-    neighbors = _nearest_k(sq, k)
+    neighbors = _nearest_k(sq, k, np.arange(len(train_points)))
     winner = _block_vote(
         classes[neighbors], np.take_along_axis(sq, neighbors, axis=1), len(values)
     )
@@ -147,17 +147,19 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     2. A point whose squared gap along the sort axis alone exceeds a
        row's bound cannot be among its neighbors: the distance kernel
        adds nonnegative per-coordinate terms to 0, so its float sum is
-       never below that one term. The remaining points form one sorted
-       range, located with ``searchsorted`` and then checked exactly at
-       both ends; should rounding have cut it short, it is widened to
-       all points.
-    3. Full distances to that range, in ascending vertex index, go
-       through the same selection as a full sort.
+       never below that one term. The remaining points form one slice
+       ``[lo, hi)`` of the sorted points, located with ``searchsorted``
+       and then checked exactly at both ends; should rounding have cut
+       it short, it is widened to all points.
+    3. Full distances to that slice go through the same selection as a
+       full sort, with the slice's vertex indices ``order[lo:hi]`` as
+       the tie key.
 
-    When the neighbors or the range already span every point (small n,
-    or many dimensions where one coordinate prunes nothing) the block
-    skips the bound or the gather and measures all n points directly.
-    Memory beyond the inputs is O(block * n), never n x n. Each point's
+    When the neighbors already span every point (small n) the block
+    skips the bound, and its slice is all n sorted points. The sorted
+    points' coordinates are held once as one contiguous ``(d, n)``
+    array, so every slice is read in place. Memory beyond the inputs
+    is O(block * n), never n x n. Each point's
     distance to itself is NaN, which never ranks, so the result, tie
     rules included, is the same as ranking each point's full distance
     row without it by a stable sort, also when squares overflow to inf.
@@ -179,18 +181,18 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     spans = np.ptp(points, axis=0)
     x = points[:, spans.argmax()] if spans.size else np.zeros(n)
     order = np.argsort(x, kind="stable")
-    xs = x[order]
-    # One contiguous row per coordinate, also for a gathered subset of the
-    # points: the kernel reads one coordinate of every point at a time.
-    coords = np.ascontiguousarray(points.T)
+    xs, sorted_classes = x[order], classes[order]
+    # One contiguous row per coordinate: the kernel reads one coordinate
+    # of a slice of the sorted points at a time.
+    coords = np.ascontiguousarray(points[order].T)
     blocks = row_blocks(n)
     reach = blocks[0].stop + k  # a full block plus k on each side
     errors = 0
     for b in blocks:
-        rows, xq, own = order[b], xs[b], np.arange(b.stop - b.start)
+        queries, xq, own = coords[:, b].T, xs[b], np.arange(b.stop - b.start)
         lo, hi = max(0, b.start - reach), min(n, b.stop + reach)
         if hi - lo < n:  # 1. bound each row's k-th distance from its sorted neighbors
-            near = _sq_dists(points[rows], points[order[lo:hi]])
+            near = _sq_dists(queries, coords[:, lo:hi].T)
             near[own, b.start - lo + own] = np.nan  # leave each point out
             bound = np.partition(near, k - 1, axis=1)[:, k - 1]
             # 2. the sorted range whose sort-axis gap is within some row's bound
@@ -200,21 +202,16 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
                 lo = 0
             if hi < n and not _beyond(xq, xs[hi], bound):
                 hi = n
-        if hi - lo < n:  # 3. the candidates, in ascending vertex index
-            cols = np.sort(order[lo:hi])
-            sq = _sq_dists(points[rows], coords.take(cols, axis=1).T)
-            sq[own, np.searchsorted(cols, rows)] = np.nan
-        else:  # every point is a candidate: the row block as it stands
-            cols = None
-            sq = _sq_dists(points[rows], coords.T)
-            sq[own, rows] = np.nan
-        nearest = _nearest_k(sq, k)
+        # 3. the candidates, ranked with their vertex indices as the tie key
+        sq = _sq_dists(queries, coords[:, lo:hi].T)
+        sq[own, b.start - lo + own] = np.nan
+        nearest = _nearest_k(sq, k, order[lo:hi])
         winners = _block_vote(
-            classes[nearest if cols is None else cols[nearest]],
+            sorted_classes[lo:hi][nearest],
             np.take_along_axis(sq, nearest, axis=1),
             len(values),
         )
-        errors += int(np.count_nonzero(winners != classes[rows]))
+        errors += int(np.count_nonzero(winners != sorted_classes[b]))
     return ErrorReport(
         error_rate=errors / n,
         n_evaluated=n,

@@ -2,13 +2,13 @@
 
 The release works in three steps: calibrate a per-entry Gaussian
 variance from the privacy budget, add a symmetric noise matrix to the
-adjacency matrix, and spectrally embed the perturbed matrix. The
-perturbed matrix is symmetric, so ``dp_ase`` holds only its upper
-triangle, packed row by row (:class:`~dpase.embedding.PackedSymmetric`):
-the noise of the whole triangle is drawn into one vector in row-major
-order and the adjacency is added into it in place. Each call is a
-standalone (alpha, delta) release; composition across repeated queries
-is not accounted for here.
+adjacency matrix, and spectrally embed the perturbed matrix. The noise
+matrix is symmetric, so ``sample_symmetric_noise``, the mechanism's only
+noise draw, returns just its upper triangle, packed row by row
+(:class:`~dpase.embedding.PackedSymmetric`): one vector drawn in
+row-major order, into which ``dp_ase`` adds the adjacency in place. Each
+call is a standalone (alpha, delta) release; composition across repeated
+queries is not accounted for here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError, mirror_upper
+from ._shared import ParameterRangeError
 from .embedding import PackedSymmetric, ase
 from .graphs import validate_adjacency
 
@@ -50,6 +50,16 @@ class NoiseScale:
     d: int
 
 
+def _check_noise_ratio(d: int, delta: float) -> None:
+    """Raise CalibrationError when ``d/delta <= 1``, where ``ln(d/delta)``
+    gives no positive noise scale. A nonpositive delta is left to the
+    budget's own range check, which this one precedes in a sweep."""
+    if delta > 0 and d / delta <= 1.0:
+        raise CalibrationError(
+            f"d/delta must exceed 1 for a positive noise scale, got {d / delta!r}"
+        )
+
+
 def calibrate_noise(n: int, d: int, budget: PrivacyBudget) -> NoiseScale:
     """Per-entry noise variance for an (alpha, delta)-private embedding.
 
@@ -62,13 +72,10 @@ def calibrate_noise(n: int, d: int, budget: PrivacyBudget) -> NoiseScale:
         raise CalibrationError(f"matrix size must be at least 1, got {n}")
     if not 1 <= d <= n:
         raise CalibrationError(f"dimension must satisfy 1 <= d <= {n}, got {d}")
-    ratio = d / budget.delta
-    if ratio <= 1.0:
-        raise CalibrationError(
-            f"d/delta must exceed 1 for a positive noise scale, got {ratio!r}"
-        )
+    _check_noise_ratio(d, budget.delta)
     try:
-        beta_sq = 8.0 * d * d * math.log(ratio) ** 2 / (n * n * budget.alpha * budget.alpha)
+        beta_sq = (8.0 * d * d * math.log(d / budget.delta) ** 2
+                   / (n * n * budget.alpha * budget.alpha))
     except ZeroDivisionError:
         beta_sq = math.inf
     if not 0.0 < beta_sq < math.inf:
@@ -81,29 +88,22 @@ def calibrate_noise(n: int, d: int, budget: PrivacyBudget) -> NoiseScale:
 
 def sample_symmetric_noise(
     n: int, scale: NoiseScale | float, rng: np.random.Generator
-) -> np.ndarray:
+) -> PackedSymmetric:
     """Symmetric n x n Gaussian noise with per-entry variance beta_sq.
 
     The upper triangle including the diagonal is drawn i.i.d. from
-    N(0, beta_sq) and mirrored, so every entry keeps variance exactly
-    beta_sq (averaging two independent draws would halve it). Row i's
-    ``n - i`` draws go to ``E[i, i:]``, so the stream is consumed in
-    row-major upper-triangle order, the order of ``dp_ase``'s packed
-    draw, and the values are bit-identical to the rows of that draw. One
-    pass then copies each upper tile onto its transposed lower tile, and
-    the only n x n allocation is the result.
+    N(0, beta_sq) with one call, in row-major order, and returned packed;
+    its mirror image is the lower triangle, so every entry keeps variance
+    exactly beta_sq (averaging two independent draws would halve it).
+    The packed vector, 4 n^2 bytes, is the only large allocation; call
+    ``.dense()`` for the full matrix.
     """
     beta_sq = scale.beta_sq if isinstance(scale, NoiseScale) else float(scale)
-    if not beta_sq > 0:
-        raise ValueError(f"noise variance must be positive, got {beta_sq}")
+    if not 0 < beta_sq < math.inf:
+        raise ValueError(f"noise variance must be positive and finite, got {beta_sq}")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
-    sd = math.sqrt(beta_sq)
-    E = np.empty((n, n))
-    for i in range(n):
-        E[i, i:] = rng.normal(0.0, sd, n - i)
-    mirror_upper(E)
-    return E
+    return PackedSymmetric(n, rng.normal(0.0, math.sqrt(beta_sq), n * (n + 1) // 2))
 
 
 def dp_ase(
@@ -114,16 +114,13 @@ def dp_ase(
     Perturbs the whole matrix, diagonal included, and embeds the result.
     The perturbed matrix is used as-is: entries are neither clipped back
     to [0, 1] nor re-binarized, and the diagonal is not re-zeroed, since
-    any such post-processing would change the released object. It is
-    held as its packed upper triangle: the noise of all n (n + 1) / 2
-    entries is drawn at once, in the row-major order (and with the
-    values) of ``sample_symmetric_noise``, and each row ``A[i, i:]`` is
-    added into it in place, so the only large buffer it allocates is
-    4 n^2 bytes.
+    any such post-processing would change the released object. The noise
+    comes packed from ``sample_symmetric_noise`` at the calibrated scale,
+    and each row ``A[i, i:]`` is added into it in place, so the only
+    large buffer it allocates is 4 n^2 bytes.
     """
     A = validate_adjacency(A)
     n = A.shape[0]
-    scale = calibrate_noise(n, d, budget)
-    M = PackedSymmetric(n, rng.normal(0.0, math.sqrt(scale.beta_sq), n * (n + 1) // 2))
+    M = sample_symmetric_noise(n, calibrate_noise(n, d, budget), rng)
     M.add(A)
     return ase(M, d)

@@ -34,7 +34,7 @@ from ._shared import ParameterRangeError
 from .classify import loocv_error
 from .embedding import ase, procrustes_align
 from .graphs import LabeledGraph, SbmParams, sample_sbm
-from .privacy import CalibrationError, PrivacyBudget, dp_ase
+from .privacy import CalibrationError, PrivacyBudget, _check_noise_ratio, dp_ase
 
 _INT_COLUMNS = {"n", "d", "k", "replicate", "seed"}
 
@@ -120,8 +120,7 @@ def _cell(record: SweepRecord, graph: LabeledGraph, rng, plain) -> SweepRecord:
     try:
         # Check calibration feasibility before budget range validation so an
         # unsatisfiable cell is tagged as such rather than as a bad budget.
-        if delta > 0 and d / delta <= 1.0:
-            raise CalibrationError(f"d/delta must exceed 1, got {d / delta!r}")
+        _check_noise_ratio(d, delta)
         budget = PrivacyBudget(record.alpha, delta)
         reference, error_ase = plain.get(graph, d, record.k)
         private = dp_ase(graph.adjacency, d, budget, rng)

@@ -63,7 +63,7 @@ def test_criterion_1_noise_calibration_exactness():
 
 def test_criterion_2_mechanism_statistics():
     n, beta_sq = 500, 0.25
-    E = sample_symmetric_noise(n, beta_sq, np.random.default_rng(BASE_SEED))
+    E = sample_symmetric_noise(n, beta_sq, np.random.default_rng(BASE_SEED)).dense()
     symmetric = np.array_equal(E, E.T)
     upper = E[np.triu_indices(n, k=1)]
     stat = float((upper**2).sum() / beta_sq)

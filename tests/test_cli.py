@@ -1,6 +1,7 @@
 """Command-line interface: parsing, config merge, outputs, exit codes."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -433,18 +434,30 @@ class TestFailures:
 
 
 class TestBlasThreadCount:
-    """One and two OpenBLAS threads give the same records.
+    """One and two OpenBLAS threads, under either of two OpenBLAS kernel
+    sets, give the same records.
 
-    kNN errors must be equal. Other floats may differ by the 1e-10
-    relative tolerance that the Lanczos and dense paths are held to; the
-    CSV keeps 9 significant digits, so such a difference can show as one
-    unit in the last printed digit.
+    ``OPENBLAS_CORETYPE`` makes a ``DYNAMIC_ARCH`` OpenBLAS build load the
+    kernels of the named core instead of those it detects, so products
+    and eigensolves round differently; a build without ``DYNAMIC_ARCH``
+    ignores it. It is set only in the child process. kNN errors must be
+    equal. Other floats may differ by the 1e-10 relative tolerance that
+    the Lanczos and dense paths are held to; the CSV keeps 9 significant
+    digits, so such a difference can show as one unit in the last
+    printed digit.
     """
 
+    # (OPENBLAS_NUM_THREADS, OPENBLAS_CORETYPE); None leaves the kernels to OpenBLAS.
+    CONFIGS = list(itertools.product((1, 2), (None, "Prescott")))
+
     @staticmethod
-    def run_cli(threads: int, *args) -> None:
+    def run_cli(config: tuple[int, str | None], *args) -> None:
+        threads, coretype = config
         src = Path(dpase.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
         subprocess.run(
             [sys.executable, "-m", "dpase.cli", *map(str, args)],
             env=env, capture_output=True, text=True, check=True,
@@ -458,21 +471,24 @@ class TestBlasThreadCount:
         return abs(a - b) <= 1e-10 * max(abs(a), abs(b)) + last_digit
 
     def test_sweep_records_do_not_depend_on_thread_count(self, tmp_path):
-        rows = {}
-        for threads in (1, 2):
-            out = tmp_path / f"threads{threads}.csv"
-            self.run_cli(threads, "simulate-sweep-n", "--n-list", 1000,
+        rows = []
+        for i, config in enumerate(self.CONFIGS):
+            out = tmp_path / f"config{i}.csv"
+            self.run_cli(config, "simulate-sweep-n", "--n-list", 1000,
                          "--replicates", 1, *SBM_FLAGS, "--out", out)
             with open(out, newline="") as fh:
-                rows[threads] = list(csv.DictReader(fh))
-        (one,), (two,) = rows[1], rows[2]
+                rows.append(list(csv.DictReader(fh)))
+        (one,) = rows[0]
         assert one["status"] == "ok"
-        assert one.keys() == two.keys()
-        for column in one:
-            if column in ("fnorm", "fnorm_per_vertex"):
-                assert self.close_as_printed(float(one[column]), float(two[column])), column
-            else:
-                assert one[column] == two[column], column
+        for config, (other,) in zip(self.CONFIGS[1:], rows[1:]):
+            assert one.keys() == other.keys(), config
+            for column in one:
+                if column in ("fnorm", "fnorm_per_vertex"):
+                    assert self.close_as_printed(
+                        float(one[column]), float(other[column])
+                    ), (config, column)
+                else:
+                    assert one[column] == other[column], (config, column)
 
     def test_classify_report_does_not_depend_on_thread_count(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -480,10 +496,10 @@ class TestBlasThreadCount:
         np.savetxt(embedding, rng.integers(-6, 7, size=(1000, 2)), delimiter=",")
         labels.write_text("".join(f"{v}\n" for v in rng.integers(1, 3, size=1000)))
         reports = []
-        for threads in (1, 2):
-            out = tmp_path / f"threads{threads}.json"
-            self.run_cli(threads, "classify", "--embedding", embedding,
+        for i, config in enumerate(self.CONFIGS):
+            out = tmp_path / f"config{i}.json"
+            self.run_cli(config, "classify", "--embedding", embedding,
                          "--labels", labels, "--out", out)
             reports.append(out.read_text())
-        assert reports[0] == reports[1]
+        assert reports == [reports[0]] * len(self.CONFIGS)
         assert json.loads(reports[0])["n_evaluated"] == 1000

@@ -112,7 +112,7 @@ def private_matrix(n: int, seed: int) -> np.ndarray:
     params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
     M = sample_symmetric_noise(
         n, calibrate_noise(n, 2, PrivacyBudget(0.1, 0.001)), np.random.default_rng(seed)
-    )
+    ).dense()
     M += sample_sbm(params, n, np.random.default_rng(seed)).adjacency
     return M
 
@@ -243,7 +243,7 @@ def lanczos_case(request):
     M = sample_sbm(params, n, np.random.default_rng(40)).adjacency.astype(float)
     if request.param is not None:
         scale = calibrate_noise(n, 2, PrivacyBudget(request.param, 0.001))
-        M += sample_symmetric_noise(n, scale, np.random.default_rng(41))
+        M += sample_symmetric_noise(n, scale, np.random.default_rng(41)).dense()
     return M, oracles.dense_top_d(M, 10)
 
 

@@ -9,6 +9,7 @@ from conftest import traced_peak
 from dpase import privacy as privacy_module
 from dpase import (
     CalibrationError,
+    NoiseScale,
     ParameterRangeError,
     PrivacyBudget,
     ase,
@@ -101,50 +102,50 @@ class TestCalibrateNoise:
 
 class TestSampleSymmetricNoise:
     def test_exactly_symmetric(self):
-        E = sample_symmetric_noise(40, 0.5, np.random.default_rng(0))
+        E = sample_symmetric_noise(40, 0.5, np.random.default_rng(0)).dense()
         assert np.array_equal(E, E.T)
 
     def test_diagonal_is_perturbed(self):
-        E = sample_symmetric_noise(40, 0.5, np.random.default_rng(1))
+        E = sample_symmetric_noise(40, 0.5, np.random.default_rng(1)).dense()
         assert np.all(np.diagonal(E) != 0)
 
     def test_vanishing_variance_gives_vanishing_norm(self):
-        E = sample_symmetric_noise(100, 1e-30, np.random.default_rng(2))
+        E = sample_symmetric_noise(100, 1e-30, np.random.default_rng(2)).dense()
         assert np.linalg.norm(E) <= 1e-10
 
     def test_same_seed_is_bit_identical(self):
         E1 = sample_symmetric_noise(30, 0.25, np.random.default_rng(3))
         E2 = sample_symmetric_noise(30, 0.25, np.random.default_rng(3))
-        assert np.array_equal(E1, E2)
+        assert np.array_equal(E1.data, E2.data)
 
     def test_distinct_seeds_differ(self):
         E1 = sample_symmetric_noise(30, 0.25, np.random.default_rng(4))
         E2 = sample_symmetric_noise(30, 0.25, np.random.default_rng(5))
-        assert not np.array_equal(E1, E2)
+        assert not np.array_equal(E1.data, E2.data)
 
     def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            sample_symmetric_noise(10, 0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_symmetric_noise(10, -1.0, np.random.default_rng(0))
+        for scale in (0.0, -1.0, float("inf"), NoiseScale(beta_sq=float("inf"), n=10, d=2)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sample_symmetric_noise(10, scale, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 300, 513])
     def test_bit_equal_to_whole_triangle_draw_mirrored(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-        E = sample_symmetric_noise(n, 0.3, rng)
+        E = sample_symmetric_noise(n, 0.3, rng).dense()
         assert E.tobytes() == oracles.triu_scatter_noise(n, 0.3, ref_rng).tobytes()
         assert rng.random() == ref_rng.random()  # same share of the stream used
 
     def test_peak_memory_is_the_result_matrix(self):
+        # The packed triangle, n (n + 1) / 2 float64 values, and nothing more.
         n = 400
         peak = traced_peak(lambda: sample_symmetric_noise(n, 0.3, np.random.default_rng(0)))
-        assert peak <= 1.1 * n * n * 8
+        assert peak <= 0.55 * n * n * 8
 
     def test_off_diagonal_variance_in_chi_square_band(self):
         # 124750 strictly-upper entries at beta_sq = 0.25: the scaled
         # sum of squares sits inside the central 99% chi-square band.
         n, beta_sq = 500, 0.25
-        E = sample_symmetric_noise(n, beta_sq, np.random.default_rng(6))
+        E = sample_symmetric_noise(n, beta_sq, np.random.default_rng(6)).dense()
         upper = E[np.triu_indices(n, k=1)]
         assert upper.size == 124750
         stat = float((upper**2).sum() / beta_sq)
@@ -157,7 +158,7 @@ class TestSampleSymmetricNoise:
         # N(0, beta_sq); this is A_DP - A since the addition is exact
         # in infinite precision and E is what gets added.
         n, beta_sq = 300, 0.04
-        E = sample_symmetric_noise(n, beta_sq, np.random.default_rng(7))
+        E = sample_symmetric_noise(n, beta_sq, np.random.default_rng(7)).dense()
         upper = E[np.triu_indices(n, k=1)]
         result = scipy.stats.kstest(upper, "norm", args=(0.0, np.sqrt(beta_sq)))
         assert result.pvalue >= 0.001
@@ -183,7 +184,7 @@ class TestDpAse:
         graph = sample_sbm(two_block_params(), 40, np.random.default_rng(17))
         A, budget = graph.adjacency, PrivacyBudget(0.5, 0.01)
         scale = calibrate_noise(40, 2, budget)
-        E = sample_symmetric_noise(40, scale, np.random.default_rng(18))
+        E = sample_symmetric_noise(40, scale, np.random.default_rng(18)).dense()
         X = dp_ase(A, 2, budget, np.random.default_rng(18))
         assert np.array_equal(X, ase(A + E, 2))
 
@@ -219,6 +220,20 @@ class TestDpAse:
             return float(np.mean(gaps))
 
         assert mean_gap(800) < mean_gap(100)
+
+    def test_draws_its_noise_once_through_the_public_sampler(self, monkeypatch):
+        # The noise that the sampler tests check is the noise that is released.
+        graph = sample_sbm(two_block_params(), 40, np.random.default_rng(23))
+        budget = PrivacyBudget(0.5, 0.01)
+        calls, real = [], privacy_module.sample_symmetric_noise
+
+        def spy(n, scale, rng):
+            calls.append((n, scale))
+            return real(n, scale, rng)
+
+        monkeypatch.setattr(privacy_module, "sample_symmetric_noise", spy)
+        dp_ase(graph.adjacency, 2, budget, np.random.default_rng(24))
+        assert calls == [(40, calibrate_noise(40, 2, budget))]
 
     @pytest.mark.parametrize("n", [1, 2, 257])
     def test_packed_matrix_is_the_whole_triangle_draw_plus_the_graph(self, monkeypatch, n):
