@@ -74,16 +74,21 @@ def _nearest_k(sq: np.ndarray, k: int, keys: np.ndarray) -> np.ndarray:
     return ranked[starts[:, None] + np.arange(k)]
 
 
-def _block_vote(classes: np.ndarray, sq: np.ndarray, n_classes: int) -> np.ndarray:
-    """Each row's winning class among its k ranked neighbors.
+def _vote(sq: np.ndarray, k: int, keys: np.ndarray,
+          classes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Each row's winning class among its k nearest columns of ``sq``.
 
-    ``classes`` holds the neighbors' class ids in 0..n_classes-1 (in
-    order of the class values) and ``sq`` their squared distances. Every
-    neighbor is keyed by (its class's votes, descending; its distance;
-    its class id), so a class's nearest member carries the class's best
-    key and each row's best-keyed neighbor names the winner.
+    ``_nearest_k`` picks each row's k nearest columns, ranked by
+    (distance, ``keys``); their class ids, from ``classes`` (each
+    column's class in 0..n_classes-1, in order of the class values), and
+    their squared distances are gathered. Every neighbor is keyed by
+    (its class's votes, descending; its distance; its class id), so a
+    class's nearest member carries the class's best key and each row's
+    best-keyed neighbor names the winner.
     """
-    rows, k = classes.shape
+    nearest = _nearest_k(sq, k, keys)
+    classes, sq = classes[nearest], np.take_along_axis(sq, nearest, axis=1)
+    rows = len(nearest)
     slots = (np.arange(rows)[:, None] * n_classes + classes).ravel()
     votes = np.bincount(slots, minlength=rows * n_classes)[slots]
     best = np.lexsort((classes.ravel(), sq.ravel(), -votes, slots // n_classes))
@@ -127,10 +132,7 @@ def knn_predict(
     _require_finite(query)
     values, classes = np.unique(train_labels, return_inverse=True)
     sq = _sq_dists(query[None, :], train_points)
-    neighbors = _nearest_k(sq, k, np.arange(len(train_points)))
-    winner = _block_vote(
-        classes[neighbors], np.take_along_axis(sq, neighbors, axis=1), len(values)
-    )
+    winner = _vote(sq, k, np.arange(len(train_points)), classes, len(values))
     return int(values[winner[0]])
 
 
@@ -205,12 +207,7 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
         # 3. the candidates, ranked with their vertex indices as the tie key
         sq = _sq_dists(queries, coords[:, lo:hi].T)
         sq[own, b.start - lo + own] = np.nan
-        nearest = _nearest_k(sq, k, order[lo:hi])
-        winners = _block_vote(
-            sorted_classes[lo:hi][nearest],
-            np.take_along_axis(sq, nearest, axis=1),
-            len(values),
-        )
+        winners = _vote(sq, k, order[lo:hi], sorted_classes[lo:hi], len(values))
         errors += int(np.count_nonzero(winners != sorted_classes[b]))
     return ErrorReport(
         error_rate=errors / n,

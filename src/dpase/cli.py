@@ -54,6 +54,8 @@ def _expand_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be start:step:end, got {text!r}")
     start, step, end = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, step, end))):
+        raise ValueError(f"range bounds must be finite, got {text!r}")
     if step == 0:
         raise ValueError("range step must be nonzero")
     span = (end - start) / step
@@ -85,7 +87,7 @@ def parse_float_list(value) -> list[float]:
 def parse_int_list(value) -> list[int]:
     out = []
     for v in parse_float_list(value):
-        if abs(v - round(v)) > 1e-9:
+        if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
             raise ValueError(f"expected integers, got {v!r}")
         out.append(int(round(v)))
     return out

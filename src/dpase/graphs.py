@@ -66,16 +66,14 @@ class SbmParams:
             raise ValueError("block count must be at least 1")
         if np.abs(B - B.T).max() > SYMMETRY_TOL:
             raise ValueError("B must be symmetric")
-        if B.min() < 0.0 or B.max() > 1.0:
+        # Written so that a NaN, which compares false, fails the check.
+        if not (B.min() >= 0.0 and B.max() <= 1.0):
             raise ValueError("B entries must lie in [0, 1]")
         if pi.min() < 0.0:
             raise ValueError("pi entries must be nonnegative")
-        if abs(pi.sum() - 1.0) > PI_SUM_TOL:
+        if not abs(pi.sum() - 1.0) <= PI_SUM_TOL:
             raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
-        B.setflags(write=False)
-        pi.setflags(write=False)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "pi", pi)
+        _freeze(self, B=B, pi=pi)
 
     @property
     def K(self) -> int:
@@ -84,7 +82,11 @@ class SbmParams:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A read-only bool adjacency matrix together with 1-based block labels."""
+    """A read-only bool adjacency matrix together with 1-based block labels.
+
+    The arrays are frozen in place, not copied: a bool adjacency (or an
+    int label vector) passed in becomes read-only in the caller's hands.
+    """
 
     adjacency: np.ndarray
     labels: np.ndarray
@@ -96,14 +98,19 @@ class LabeledGraph:
             raise ValueError("labels length must equal the vertex count")
         if labels.min(initial=1) < 1:
             raise ValueError("labels must be 1-based positive class ids")
-        adjacency.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "labels", labels)
+        _freeze(self, adjacency=adjacency, labels=labels)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
+
+
+def _freeze(record, **arrays: np.ndarray) -> None:
+    """Make each validated array read-only and store it on the frozen
+    dataclass ``record`` under its keyword."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
 
 
 def validate_adjacency(A: np.ndarray) -> np.ndarray:
@@ -192,51 +199,45 @@ def _parse_edge_lines(path) -> tuple[np.ndarray, list[int]]:
             raise EdgeListError(
                 f"{path}:{lineno}: expected 'u v', got {line!r}"
             )
-        u = _parse_id(tokens[0], lineno, str(path))
-        v = _parse_id(tokens[1], lineno, str(path))
+        # An id past int64 fits no matrix; capped, it fails the size checks.
+        u, v = (min(_parse_id(token, lineno, str(path)), _ID_CAP) for token in tokens)
         if u < 0 or v < 0:
             raise EdgeListError(f"{path}:{lineno}: negative vertex id")
         linenos.append(lineno)
         pairs += (u, v)
-    try:
-        ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        # An id past int64 fits no matrix; capped, it fails the size checks.
-        ids = np.array([min(i, _ID_CAP) for i in pairs], dtype=np.int64).reshape(-1, 2)
-    return ids, linenos
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), linenos
 
 
-def _comments_start_lines(path) -> bool:
-    """Whether the file holds a ``#`` and every one begins its line, after
-    optional whitespace: then each is a comment line the line loop skips."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _comments_start_lines(data: bytes) -> bool:
+    """Whether every ``#`` in a file's bytes begins its line, after optional
+    whitespace: then each is a comment line the line loop skips, and
+    ``np.loadtxt(comments="#")`` skips the same lines. Bytes without a
+    ``#`` pass."""
     at = data.find(b"#")
-    found = at >= 0
     while at >= 0:
         if data[data.rfind(b"\n", 0, at) + 1:at].strip():
             return False
         at = data.find(b"#", at + 1)
-    return found
+    return True
 
 
 def _load_edge_ids(path) -> np.ndarray | None:
-    """The (m, 2) int64 ids of an edge list from one C-level parse.
+    """The (m, 2) int64 ids of an edge list from one read and one C-level parse.
 
-    Returns None, leaving the file to the line loop and its messages,
-    when the file cannot be read or holds no edges, a ``#`` after a token,
-    a token that is not an int64, a line without two ids or a negative id.
-    Whatever it does accept, it reads exactly as the line loop would.
+    The file's bytes are read once, checked by ``_comments_start_lines``
+    and dropped; then ``np.loadtxt`` parses the file once. Returns None,
+    leaving the file to the line loop and its messages, when the file
+    cannot be read or holds no edges, a ``#`` after a token, a token that
+    is not an int64, a line without two ids or a negative id. Whatever it
+    does accept, it reads exactly as the line loop would.
     """
     try:
+        with open(path, "rb") as fh:
+            if not _comments_start_lines(fh.read()):
+                return None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy warns on a file with no data
-            try:
-                ids = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
-            except ValueError:
-                if not _comments_start_lines(path):
-                    return None
-                ids = np.loadtxt(path, dtype=np.int64, ndmin=2, comments="#")
+            ids = np.loadtxt(path, dtype=np.int64, ndmin=2, comments="#")
     except (OSError, ValueError):
         return None
     if ids.shape[1] != 2 or not len(ids) or ids.min() < 0:
@@ -247,13 +248,13 @@ def _load_edge_ids(path) -> np.ndarray | None:
 def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     """Read a whitespace-separated edge list into an adjacency matrix.
 
-    Duplicate edges collapse to a single edge and self-loops are dropped
-    (a warning with the count is logged). When ``n_hint`` is given it
-    fixes the vertex count and any id outside the valid range is an
-    error; otherwise the count is inferred from the largest id. A file of
-    id pairs, blank lines and whole-line ``#`` comments is parsed in one
-    vectorized pass; anything else goes through the line loop, which
-    names the first bad line.
+    Duplicate edges collapse to a single edge and self-loops are dropped:
+    a self-loop's diagonal entry is never written, and a warning with the
+    count is logged. When ``n_hint`` is given it fixes the vertex count
+    and any id outside the valid range is an error; otherwise the count
+    is inferred from the largest id. A file of id pairs, blank lines and
+    whole-line ``#`` comments is parsed in one vectorized pass; anything
+    else goes through the line loop, which names the first bad line.
     """
     if n_hint is not None and n_hint < 0:
         raise EdgeListError(f"{path}: vertex-count hint must be nonnegative, got {n_hint}")
@@ -283,10 +284,9 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
             f"{path}:{linenos[outside[0]]}: vertex id exceeds declared count {n}"
         )
     u, v = ids.T
-    A[u, v] = A[v, u] = True
+    A[u, v] = A[v, u] = u != v
     self_loops = np.count_nonzero(u == v)
     if self_loops:
-        np.fill_diagonal(A, False)
         log.warning("%s: dropped %d self-loop(s)", path, self_loops)
     return validate_adjacency(A)
 

@@ -95,6 +95,13 @@ class TestKnnPredict:
         with pytest.raises(ValueError):
             knn_predict(np.zeros((0, 2)), [], np.zeros(2), 1)
 
+    def test_rejects_mismatched_labels_and_query(self):
+        points = np.array([[0.0, 0], [1, 1]])
+        with pytest.raises(ValueError, match="training labels must match"):
+            knn_predict(points, [1, 2, 1], np.zeros(2), 1)
+        with pytest.raises(ValueError, match="does not match dimension 2"):
+            knn_predict(points, [1, 2], np.zeros(3), 1)
+
 
 class TestLoocvError:
     def test_separated_clusters_have_zero_error(self):
@@ -154,6 +161,12 @@ class TestLoocvError:
         points = np.zeros((3, 2))
         with pytest.raises(ParameterRangeError):
             loocv_error(points, [1, 2, 1], 3)
+
+    def test_rejects_a_vector_of_points_and_mismatched_labels(self):
+        with pytest.raises(ValueError, match="points must be an"):
+            loocv_error(np.zeros(3), [1, 2, 1], 1)
+        with pytest.raises(ValueError, match="labels length must equal"):
+            loocv_error(np.zeros((3, 2)), [1, 2], 1)
 
     def test_rejects_non_finite_points(self):
         points = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]])

@@ -66,6 +66,10 @@ class TestListParsing:
         with pytest.raises(ValueError):
             parse_float_list("5:1:1")
 
+    def test_rejects_an_empty_comma_list(self):
+        with pytest.raises(ValueError, match="empty list"):
+            parse_float_list(",")
+
     def test_rejects_non_integer_entries(self):
         with pytest.raises(ValueError):
             parse_int_list("1,2.5")
@@ -368,6 +372,26 @@ class TestFailures:
         }))
         assert main([command, "--config", str(cfg)]) == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["privacy-grid", "--n", "30", "--alpha", "0:1:inf", "--delta", "0.01"], "alpha"),
+        (["privacy-grid", "--n", "30", "--alpha", "0.5", "--delta", "0.1:inf:1"], "delta"),
+        (["simulate-sweep-n", "--n-list", "inf", "--alpha", "0.5", "--delta", "0.01"],
+         "n_list"),
+    ])
+    def test_non_finite_range_bound_or_integer_names_the_option(
+        self, tmp_path, capsys, argv, name
+    ):
+        code = main([*argv, *SBM_FLAGS, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"dpase: error: bad value for option {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_nan_in_B_exits_1(self, tmp_path, capsys):
+        code = main(["privacy-grid", "--n", "30", "--B", "nan,0.1,0.1,0.2", "--pi", "0.5,0.5",
+                     "--alpha", "0.5", "--delta", "0.01", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "B entries must lie in [0, 1]" in capsys.readouterr().err
 
     def test_config_file_cannot_name_another_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -55,6 +55,10 @@ class TestTopDEigen:
         with pytest.raises(ValueError, match="symmetric"):
             top_d_eigen(np.array([[0.0, 1], [0, 0]]), 1)
 
+    def test_rejects_non_square_input(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            top_d_eigen(np.zeros((2, 3)), 1)
+
     def test_rejects_dimension_out_of_range(self):
         M = np.eye(3)
         with pytest.raises(ValueError):

@@ -46,16 +46,27 @@ class TestSbmParams:
             SbmParams(B=[[1.3, 0.1], [0.1, 0.2]], pi=[0.5, 0.5])
         with pytest.raises(ValueError):
             SbmParams(B=[[-0.1, 0.1], [0.1, 0.2]], pi=[0.5, 0.5])
+        # A NaN compares false with both bounds; on the diagonal and in a
+        # symmetric pair it also passes the symmetry check.
+        for B in ([[np.nan, 0.1], [0.1, 0.2]], [[0.3, np.nan], [np.nan, 0.2]]):
+            with pytest.raises(ValueError, match=r"^B entries must lie in \[0, 1\]$"):
+                SbmParams(B=B, pi=[0.5, 0.5])
 
     def test_rejects_pi_not_a_distribution(self):
         with pytest.raises(ValueError, match="sum"):
             SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.5])
         with pytest.raises(ValueError):
             SbmParams(B=B_TWO_BLOCK, pi=[1.4, -0.4])
+        with pytest.raises(ValueError, match="^pi must sum to 1, got .*nan"):
+            SbmParams(B=B_TWO_BLOCK, pi=[np.nan, 1.0])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             SbmParams(B=B_TWO_BLOCK, pi=[0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="B must be a square matrix"):
+            SbmParams(B=[[0.3, 0.1]], pi=[1.0])
+        with pytest.raises(ValueError, match="block count must be at least 1"):
+            SbmParams(B=np.zeros((0, 0)), pi=[])
 
     def test_params_are_immutable(self):
         params = two_block_params()
@@ -361,6 +372,21 @@ class TestEdgeListIO:
         path.write_text("# header\n  # indented\n0 1\n\n#\n1 2\n\t# trailing\n")
         monkeypatch.setattr(graphs, "_parse_edge_lines", refuse)
         A = load_edge_list(path)
+        assert np.array_equal(A, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+    def test_a_commented_file_is_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return loadtxt(*args, **kwargs)
+
+        path = tmp_path / "headed.txt"
+        path.write_text("# header\n0 1\n1 2\n")
+        monkeypatch.setattr(np, "loadtxt", spy)
+        A = load_edge_list(path)
+        assert len(calls) == 1
         assert np.array_equal(A, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_write_peak_memory_is_a_few_row_blocks(self, tmp_path):

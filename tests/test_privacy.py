@@ -128,6 +128,10 @@ class TestSampleSymmetricNoise:
             with pytest.raises(ValueError, match="positive and finite"):
                 sample_symmetric_noise(10, scale, np.random.default_rng(0))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="matrix size must be at least 1, got 0"):
+            sample_symmetric_noise(0, 0.25, np.random.default_rng(0))
+
     @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 300, 513])
     def test_bit_equal_to_whole_triangle_draw_mirrored(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
