@@ -72,7 +72,7 @@ class SbmParams:
         if pi.min() < 0.0:
             raise ValueError("pi entries must be nonnegative")
         if not abs(pi.sum() - 1.0) <= PI_SUM_TOL:
-            raise ValueError(f"pi must sum to 1, got {pi.sum()!r}")
+            raise ValueError(f"pi must sum to 1, got {float(pi.sum())}")
         _freeze(self, B=B, pi=pi)
 
     @property

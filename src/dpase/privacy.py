@@ -29,7 +29,11 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """An (alpha, delta) privacy budget; smaller values mean more noise."""
+    """An (alpha, delta) privacy budget; smaller values mean more noise.
+
+    Both are held as Python floats, so a numpy scalar computes and
+    prints like one.
+    """
 
     alpha: float
     delta: float
@@ -39,6 +43,8 @@ class PrivacyBudget:
             raise ParameterRangeError(f"alpha must be positive, got {self.alpha}")
         if not 0 < self.delta < 1:
             raise ParameterRangeError(f"delta must lie in (0, 1), got {self.delta}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "delta", float(self.delta))
 
 
 @dataclass(frozen=True)

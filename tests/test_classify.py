@@ -224,13 +224,17 @@ def grid_cases(draw, leave_one_out: bool):
 
     Some cases are degenerate for the sorted sweep: every point in one
     place, nearly every point tied on the sort axis, or a few points
-    repeated. The grid may be scaled so that squared distances overflow
-    to inf or underflow to 0, k often takes its largest value, and class
-    ids may have gaps.
+    repeated. Others are hard for the Gram filter, which d reaches two
+    past its gate: grid ties moved a few ulps apart, far inside the
+    filter's error bound, and a cluster 1e8 away on every axis, whose
+    Gram-form distances lose every digit to cancellation. The grid may
+    be scaled so that squared distances overflow to inf or underflow to
+    0, k often takes its largest value, and class ids may have gaps.
     """
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, classify.GRAM_FILTER_MIN_D + 2))
     n = draw(st.integers(2 if leave_one_out else 1, 24))
-    shape = draw(st.sampled_from(["grid", "grid", "identical", "stacked", "repeated"]))
+    shape = draw(st.sampled_from(["grid", "grid", "identical", "stacked", "repeated",
+                                  "near_ties", "offset"]))
     if shape == "identical":
         points = np.full((n, d), draw(_GRID))
     elif shape == "stacked":
@@ -246,6 +250,12 @@ def grid_cases(draw, leave_one_out: bool):
                              min_size=distinct, max_size=distinct))
         picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
         points = np.array(rows)[picks]
+    if shape == "near_ties":
+        ulps = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+        points = points * (1 + np.reshape(ulps, (n, d)) * np.finfo(float).eps)
+    elif shape == "offset":
+        far = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        points = points + 1e8 * np.array(far, dtype=float)[:, None]
     scale = draw(st.sampled_from([1.0, 1.0, 1e155, 1e-160]))
     ids = draw(st.sampled_from([(1, 2, 3), (1, 2, 3), (-7, 3, 1_000_000)]))
     labels = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
@@ -329,3 +339,11 @@ class TestSweepWork:
     def test_small_inputs_take_the_full_rows_only(self, monkeypatch):
         points, labels = self.sbm_embedding(300, 13)
         assert self.entries(monkeypatch, points, labels) == 1.0
+
+    def test_fifty_dimensions_take_the_gram_filter(self, monkeypatch):
+        # The sorted sweep prunes nothing here: it evaluated about 1.05 n^2.
+        assert 50 >= classify.GRAM_FILTER_MIN_D
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(2000, 50))
+        labels = rng.integers(1, 3, size=2000)
+        assert self.entries(monkeypatch, points, labels) <= 0.15

@@ -393,6 +393,12 @@ class TestFailures:
         assert code == 1
         assert "B entries must lie in [0, 1]" in capsys.readouterr().err
 
+    def test_pi_sum_prints_as_a_plain_float(self, tmp_path, capsys):
+        code = main(["privacy-grid", "--n", "30", "--B", "0.3,0.1,0.1,0.2", "--pi", "0.5,0.6",
+                     "--alpha", "0.5", "--delta", "0.01", "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "dpase: error: pi must sum to 1, got 1.1\n" in capsys.readouterr().err
+
     def test_config_file_cannot_name_another_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"config": str(tmp_path / "other.json")}))

@@ -291,6 +291,25 @@ class TestLanczosPath:
         top_d_eigen(random_symmetric(n, np.random.default_rng(43)), d)
         assert len(calls) == int(lanczos)
 
+    def test_basis_rule_cuts_products_past_the_blocks_and_keeps_d2(self, monkeypatch):
+        # Spied at the packed product, one call per ARPACK mat-vec. At
+        # ncv = 21 the d = 10 solve took 1108; d = 2 keeps the default 20.
+        graph = sample_sbm(SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6]), 2000,
+                           np.random.default_rng(7))
+        products = []
+        matvec = PackedSymmetric.matvec
+
+        def counting(self, v):
+            products.append(1)
+            return matvec(self, v)
+
+        monkeypatch.setattr(PackedSymmetric, "matvec", counting)
+        top_d_eigen(graph.adjacency, 10)
+        assert len(products) <= 600
+        products.clear()
+        top_d_eigen(graph.adjacency, 2)
+        assert len(products) == 21
+
     def test_non_convergence_raises_linalg_error(self, monkeypatch, lanczos_case):
         M, _ = lanczos_case
 

@@ -1,5 +1,7 @@
 """Noise calibration, symmetric Gaussian perturbation, private embedding."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -45,6 +47,11 @@ class TestPrivacyBudget:
         for delta in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ValueError, match="delta"):
                 PrivacyBudget(0.1, delta)
+
+    def test_numpy_scalars_are_held_as_floats(self):
+        budget = PrivacyBudget(np.float64(0.1), np.float32(0.5))
+        assert type(budget.alpha) is float and type(budget.delta) is float
+        assert (budget.alpha, budget.delta) == (0.1, 0.5)
 
     def test_range_errors_are_parameter_range_errors(self):
         for alpha, delta in [(-1.0, 0.1), (float("nan"), 0.1), (0.1, 1.0), (0.1, float("nan"))]:
@@ -98,6 +105,14 @@ class TestCalibrateNoise:
         # the variance overflows, or the denominator is exactly 0.
         with pytest.raises(CalibrationError, match="floating-point range"):
             calibrate_noise(100, 2, PrivacyBudget(alpha, 0.01))
+
+    def test_numpy_alpha_whose_square_underflows_is_a_calibration_error(self):
+        # alpha^2 = 0 must take the ZeroDivisionError path, not numpy's
+        # divide-by-zero warning, and the message must print plain floats.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match=r"^alpha=1e-300 .* inf, outside"):
+                calibrate_noise(10, 2, PrivacyBudget(np.float64(1e-300), 0.01))
 
 
 class TestSampleSymmetricNoise:
