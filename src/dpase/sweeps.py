@@ -6,11 +6,13 @@ with the lists enumerated left to right and the replicate innermost.
 Replicate r seeds its stream with ``base_seed + r`` and realizes its
 graph at each n once; every (d, alpha, delta) cell then draws its noise
 from a copy of the stream as the graph draw left it. The plain reference
-(non-private embedding and error) is computed once per (graph, d), so it
-is shared by every privacy cell of a simulated replicate and by every
-replicate of a dataset graph. Distinct replicates draw fresh graphs and
-fresh noise. Runs are fully deterministic: the same configuration and
-base seed produce byte-identical output files.
+(non-private embedding and error) of every d comes from one eigensolve
+per graph, at the largest d of the sweep that fits it, and its error is
+computed once per (graph, d); both are shared by every privacy cell of a
+simulated replicate and by every replicate of a dataset graph. Distinct
+replicates draw fresh graphs and fresh noise. Runs are fully
+deterministic: the same configuration and base seed produce
+byte-identical output files.
 
 Failed cells become status-tagged records with empty metric fields
 instead of aborting the sweep: ``calibration_error`` for a budget that
@@ -87,19 +89,44 @@ class DatasetSource:
 
 class _PlainReferences:
     """Plain embedding and LOOCV error per d of the latest graph, held weakly
-    so a replaced simulated graph is freed before the next one is drawn."""
+    so a replaced simulated graph is freed before the next one is drawn.
 
-    def __init__(self):
+    A graph's top-d eigenpairs by magnitude are the leading d of its top-D
+    pairs for any D >= d, and both solver paths sort and sign-fix the pairs
+    column by column. So a graph's first request makes one plain solve, at
+    the largest d of ``d_list`` that fits the graph (1 <= d <= n), and
+    every d up to it gets the leading columns of that embedding: the same
+    bits as its own solve on the dense path, differences at rounding level
+    (about 1e-13) on the Lanczos path. If that solve raises
+    ``LinAlgError``, every smaller d solves on its own, so only the cells
+    whose own solve fails are tagged. A d outside 1..n solves on its own
+    and raises. Solves are deterministic, so a d whose solve raised
+    ``LinAlgError`` keeps the error and raises a copy of it on every later
+    request instead of solving again; the copy has no traceback, which
+    would hold the graph.
+    """
+
+    def __init__(self, d_list):
+        self._d_list = d_list
         self._graph = lambda: None
-        self._by_d: dict = {}
 
     def get(self, graph: LabeledGraph, d: int, k: int) -> tuple[np.ndarray, float]:
         if self._graph() is not graph:
-            self._graph, self._by_d = weakref.ref(graph), {}
+            self._graph, self._by_d, self._top = weakref.ref(graph), {}, np.empty((graph.n, 0))
+            top_d = max((e for e in self._d_list if 1 <= e <= graph.n), default=0)
+            try:
+                self._top = ase(graph.adjacency, top_d) if top_d else self._top
+            except np.linalg.LinAlgError as exc:
+                self._by_d[top_d] = copy.copy(exc)
         if d not in self._by_d:
-            reference = ase(graph.adjacency, d)
-            error_ase = loocv_error(reference, graph.labels, k).error_rate
-            self._by_d[d] = (reference, error_ase)
+            top = self._top[:, :d] if 1 <= d <= self._top.shape[1] else None
+            try:
+                reference = ase(graph.adjacency, d) if top is None else np.ascontiguousarray(top)
+                self._by_d[d] = (reference, loocv_error(reference, graph.labels, k).error_rate)
+            except np.linalg.LinAlgError as exc:
+                self._by_d[d] = copy.copy(exc)
+        if isinstance(self._by_d[d], Exception):
+            raise copy.copy(self._by_d[d])
         return self._by_d[d]
 
 
@@ -158,7 +185,7 @@ def _sweep(
     if replicates < 1:
         raise ValueError(f"replicates must be at least 1, got {replicates}")
     cells = list(itertools.product(d_list, alpha_list, delta_list))
-    plain = _PlainReferences()
+    plain = _PlainReferences(d_list)
     records = []
     for n in n_list:
         by_replicate = []

@@ -176,6 +176,36 @@ class TestFailureTagging:
         assert by_n[1100].status == "ok"
         assert by_n[1100].error_dp is not None
 
+    def test_a_failed_shared_solve_fails_only_its_own_cells(self, monkeypatch):
+        # eigsh fails for k = 4 only. The plain d = 4 solve that the d = 2
+        # cells would slice fails, so they solve d = 2 on their own.
+        real = scipy.sparse.linalg.eigsh
+        solves = []
+
+        def flaky(M, **kwargs):
+            solves.append(kwargs["k"])
+            if kwargs["k"] == 4:
+                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+            return real(M, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
+        n = embedding.LANCZOS_MIN_N
+        records = run_dim_sweep(fixed_source(n=n), n, [2, 4], 0.5, 0.01, 3, 2, 0)
+        # First replicate: the shared plain d = 4 (fails), plain d = 2 and
+        # private d = 2; the d = 4 cell raises the kept failure. The second
+        # replicate reuses both plain results and solves only private d = 2.
+        assert solves == [4, 2, 2, 2]
+        assert [(r.d, r.status) for r in records] == [
+            (2, "ok"), (2, "ok"), (4, "eigen_error"), (4, "eigen_error"),
+        ]
+        assert all(r.error_ase is not None for r in records if r.d == 2)
+
+    def test_a_dimension_beyond_n_never_becomes_the_shared_solve(self, monkeypatch):
+        plain = TestReuse.count_calls(monkeypatch, "ase")
+        records = run_dim_sweep(fixed_source(n=40), 40, [2, 50], 0.5, 0.01, 3, 1, 0)
+        assert [args[1] for args in plain] == [2, 50]
+        assert [(r.d, r.status) for r in records] == [(2, "ok"), (50, "invalid_cell")]
+
     def test_dataset_size_mismatch_is_tagged(self):
         records = run_dim_sweep(fixed_source(n=40), 99, [2], 0.5, 0.01, 3, 1, 0)
         assert records[0].status == "invalid_cell"
@@ -269,11 +299,33 @@ class TestReuse:
         assert len(samples) == 3
         assert len(plain) == 3
 
-    def test_dataset_dim_sweep_embeds_each_dimension_once(self, monkeypatch):
+    def test_dataset_dim_sweep_solves_the_largest_dimension_once(self, monkeypatch):
         plain = self.count_calls(monkeypatch, "ase")
         records = run_dim_sweep(fixed_source(), 60, [2, 5], 0.5, 0.01, 3, 3, 0)
         assert [r.status for r in records] == ["ok"] * 6
-        assert [args[1] for args in plain] == [2, 5]
+        assert [args[1] for args in plain] == [5]
+
+    def test_a_sliced_dense_reference_equals_its_own_solve(self):
+        # On the dense path the leading columns of the d = 5 solve are the
+        # d = 2 solve bit for bit, so the d = 2 records do not change.
+        nested = run_dim_sweep(fixed_source(), 60, [5, 2], 0.5, 0.01, 3, 2, 0)
+        alone = run_dim_sweep(fixed_source(), 60, [2], 0.5, 0.01, 3, 2, 0)
+        assert [r for r in nested if r.d == 2] == alone
+
+    def test_a_lanczos_sweep_slices_every_reference_from_one_solve(self, monkeypatch):
+        n = embedding.LANCZOS_MIN_N
+        source = fixed_source(n=n)
+        alone = run_dim_sweep(source, n, [2], 0.5, 0.01, 3, 1, 0)
+        plain = self.count_calls(monkeypatch, "ase")
+        nested = run_dim_sweep(source, n, [2, 10], 0.5, 0.01, 3, 1, 0)
+        assert [args[1] for args in plain] == [10]
+        assert [r.status for r in nested] == ["ok", "ok"]
+        # The d = 2 cell's reference is the d = 10 solve's leading columns,
+        # which differ from a d = 2 solve by rounding only.
+        (record,), (own,) = [r for r in nested if r.d == 2], alone
+        assert record.error_ase == own.error_ase
+        assert record.error_dp == own.error_dp
+        assert record.fnorm == pytest.approx(own.fnorm, rel=1e-10)
 
     def test_a_simulated_graph_is_freed_before_the_next_is_drawn(self, monkeypatch):
         drawn = []
@@ -288,6 +340,27 @@ class TestReuse:
         records = run_n_sweep(sim_source(), [30, 40], 2, 0.5, 0.01, 3, 2, 0)
         assert len(drawn) == 4
         assert [r.status for r in records] == ["ok"] * 4
+
+    def test_a_failed_plain_solve_does_not_keep_its_graph(self, monkeypatch):
+        drawn = []
+
+        def sample(*args):
+            assert all(ref() is None for ref in drawn)
+            graph = sample_sbm(*args)
+            drawn.append(weakref.ref(graph))
+            return graph
+
+        def failing(A, d):
+            try:
+                raise RuntimeError("no convergence")
+            except RuntimeError as exc:
+                raise np.linalg.LinAlgError("plain solve failed") from exc
+
+        monkeypatch.setattr(sweeps, "sample_sbm", sample)
+        monkeypatch.setattr(sweeps, "ase", failing)
+        records = run_n_sweep(sim_source(), [30, 40], 2, 0.5, 0.01, 3, 2, 0)
+        assert len(drawn) == 4
+        assert [r.status for r in records] == ["eigen_error"] * 4
 
 
 class TestMemory:
