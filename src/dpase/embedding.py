@@ -29,6 +29,8 @@ comparison between two embeddings must go through
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,9 @@ from ._shared import BLOCK_ENTRIES, ParameterRangeError, is_symmetric, mirror_up
 
 INPUT_SYMMETRY_TOL = 1e-12
 # Below this size one dense solve costs less than loading ARPACK once:
-# ``eigh`` takes about 35 ms at n = 500 and 0.17 s at n = 1000, while
-# importing scipy.sparse.linalg takes about 0.3 s and 30 MB.
+# a dense ``top_d_eigen`` takes about 12 ms at n = 500 and 72 ms at
+# n = 999, while importing scipy.sparse.linalg after dpase.cli takes
+# 0.09-0.12 s and 30 MB (2-core x86-64 machine, numpy 2.4, scipy 1.17).
 LANCZOS_MIN_N = 1000
 
 
@@ -162,6 +165,49 @@ def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
     return M
 
 
+def _scipy_blas_threads():
+    """(get, set) for the thread count of the OpenBLAS that scipy's BLAS
+    wrappers link, or None if they link no OpenBLAS that exports them.
+
+    numpy's and scipy's wheels each bundle their own OpenBLAS, each with
+    its own thread pool. Looking the symbols up through the handle of
+    scipy's BLAS extension (``dlsym`` searches an object and then what it
+    links) finds scipy's copy, which ARPACK links too, wherever it is
+    installed, and never numpy's.
+    """
+    from scipy.linalg import _fblas
+
+    lib = ctypes.CDLL(_fblas.__file__)
+    for setter in ("scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                   "openblas_set_num_threads", "openblas_set_num_threads64_"):
+        if hasattr(lib, setter):
+            get, set_ = getattr(lib, setter.replace("_set_", "_get_")), getattr(lib, setter)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_scipy_blas_thread():
+    """Run scipy's OpenBLAS on the calling thread for the block, then
+    restore its previous thread count; do nothing if it is not found.
+
+    Up to n = 4000 a Lanczos solve gains nothing measurable from a
+    second thread (``dspmv`` runs on one either way), but after each
+    threaded call the pool's worker busy-waits, and it then competes
+    with numpy's own pool (LOOCV's products) for the cores. The count is
+    process-wide while the block runs, so one thread at a time may solve.
+    """
+    get, set_ = _scipy_blas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d eigenpairs of largest magnitude from ARPACK, to machine precision.
 
@@ -185,8 +231,9 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     op = LinearOperator((n, n), matvec=P.matvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        return eigsh(op, k=d, which="LM", v0=v0, tol=0.0, maxiter=10 * n,
-                     ncv=min(n, max(20, min(4 * d, 2 * d + 20))))
+        with _one_scipy_blas_thread():
+            return eigsh(op, k=d, which="LM", v0=v0, tol=0.0, maxiter=10 * n,
+                         ncv=min(n, max(20, min(4 * d, 2 * d + 20))))
     except ArpackNoConvergence as exc:
         raise np.linalg.LinAlgError(
             f"Lanczos eigensolver did not converge for d={d} at n={n}: {exc}"

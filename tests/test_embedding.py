@@ -23,7 +23,7 @@ from dpase import (
     sample_symmetric_noise,
     top_d_eigen,
 )
-from dpase import _shared
+from dpase import _shared, embedding
 from dpase.embedding import LANCZOS_MIN_N, PackedSymmetric, _check_symmetric, _packed
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
@@ -329,6 +329,82 @@ class TestLanczosPath:
             text=True, check=True,
         )
         assert result.stdout.strip() == "False"
+
+
+@pytest.fixture
+def scipy_blas_count():
+    """The getter of scipy's OpenBLAS thread count, set to 2 for the test,
+    so that a count left at 1 shows, and restored after it."""
+    found = embedding._scipy_blas_threads()
+    if found is None:
+        pytest.skip("scipy's BLAS exports no OpenBLAS thread count")
+    get, set_ = found
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestScipyBlasThreads:
+    def test_a_solve_runs_on_one_thread_and_restores_the_count(
+        self, monkeypatch, lanczos_case, scipy_blas_count
+    ):
+        M, _ = lanczos_case
+        seen = []
+        matvec = PackedSymmetric.matvec
+
+        def spy(self, v):
+            seen.append(scipy_blas_count())
+            return matvec(self, v)
+
+        monkeypatch.setattr(PackedSymmetric, "matvec", spy)
+        top_d_eigen(M, 2)
+        assert seen and set(seen) == {1}
+        assert scipy_blas_count() == 2
+
+    def test_non_convergence_restores_the_count(self, monkeypatch, lanczos_case, scipy_blas_count):
+        M, _ = lanczos_case
+        seen = []
+
+        def stuck(*args, **kwargs):
+            seen.append(scipy_blas_count())
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            top_d_eigen(M, 2)
+        assert seen == [1]
+        assert scipy_blas_count() == 2
+
+    def test_results_do_not_depend_on_finding_the_library(self, monkeypatch, lanczos_case):
+        M, _ = lanczos_case
+        pinned = top_d_eigen(M, 10)
+        monkeypatch.setattr(embedding, "_scipy_blas_threads", lambda: None)
+        unpinned = top_d_eigen(M, 10)
+        assert np.array_equal(pinned.values, unpinned.values)
+        assert np.array_equal(pinned.vectors, unpinned.vectors)
+
+    def test_finds_the_setter_whenever_scipy_reports_openblas(self):
+        # A wheel that renames the symbols must fail here, not silently
+        # lose the pin.
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas["name"].lower():
+            pytest.skip(f"scipy's BLAS is {blas['name']}")
+        assert embedding._scipy_blas_threads() is not None
+
+    def test_a_dense_path_command_never_imports_scipy(self, tmp_path):
+        # The dense path would otherwise pay scipy's import time and memory.
+        src = Path(dpase.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        args = ["privacy-grid", "--n", "60", "--B", "0.3,0.1,0.1,0.2", "--pi", "0.4,0.6",
+                "--alpha", "0.1", "--delta", "0.01", "--out", str(tmp_path / "grid.csv")]
+        probe = (f"import sys; from dpase.cli import main; code = main({args!r}); "
+                 "print(code, 'scipy' in sys.modules)")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert result.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestAse:

@@ -26,7 +26,7 @@ from dpase import (
     run_privacy_grid,
     sample_sbm,
 )
-from dpase import classify, embedding, sweeps
+from dpase import classify, embedding, privacy, sweeps
 
 
 def sim_source() -> SimulationSource:
@@ -276,6 +276,25 @@ class TestDatasetSource:
     def test_noise_still_varies_across_replicates(self):
         records = run_alpha_tradeoff(fixed_source(), 60, 2, [0.3], 0.01, 3, 4, 0)
         assert len({r.error_dp for r in records}) > 1 or len({r.fnorm for r in records}) > 1
+
+    def test_cells_of_one_replicate_scale_one_shared_draw(self, monkeypatch):
+        # Cell c's noise is beta_c Z with one standard-normal Z per
+        # replicate, so on a fixed graph two cells' releases A + beta_c Z
+        # give back A exactly (README, "Notes on the privacy guarantee").
+        draws = []
+        real = privacy.sample_symmetric_noise
+
+        def spy(n, scale, rng):
+            noise = real(n, scale, rng)
+            draws.append((math.sqrt(scale.beta_sq), noise.data.copy()))
+            return noise
+
+        monkeypatch.setattr(privacy, "sample_symmetric_noise", spy)
+        run_alpha_tradeoff(fixed_source(), 60, 2, [0.3, 0.8], 0.01, 3, 1, 0)
+        (beta_1, noise_1), (beta_2, noise_2) = draws
+        assert beta_1 / beta_2 == pytest.approx(0.8 / 0.3, rel=1e-12)
+        ratio = noise_1 * beta_2 / (noise_2 * beta_1)
+        assert np.abs(ratio - 1).max() <= 4 * np.finfo(float).eps
 
 
 class TestReuse:
