@@ -12,15 +12,18 @@ upper triangle packed into a vector of n (n + 1) / 2 float64 values
 of 8 n^2. A dense input is checked and then packed; a bool adjacency is
 packed straight from its one-byte rows, with no n x n float64 copy.
 
-The eigenpairs come from one of two solvers. Small matrices, and
+The eigenpairs come from one of three solvers. Small matrices, and
 requests for at least half the spectrum, are unpacked and take a full
-dense symmetric decomposition (LAPACK) that is then truncated. Matrices
-with at least ``LANCZOS_MIN_N`` rows take ARPACK's restarted Lanczos
-iteration, which finds only the d wanted pairs with packed
-matrix-vector products (BLAS ``dspmv``). Both paths order the pairs the
-same way and fix each eigenvector's sign so that its largest-magnitude
-entry (the first, if several tie) is positive, so the embedding's signs
-do not depend on which solver or BLAS build produced it.
+dense symmetric decomposition (LAPACK) that is then truncated. From
+``DENSE_ENDS_MIN_N`` rows the matrix is unpacked and two index-range
+LAPACK solves find only the d lowest and the d highest pairs, among
+which the d of largest magnitude always lie. Matrices with at least
+``LANCZOS_MIN_N`` rows take ARPACK's restarted Lanczos iteration, which
+finds only the d wanted pairs with packed matrix-vector products (BLAS
+``dspmv``). All paths order the pairs the same way and fix each
+eigenvector's sign so that its largest-magnitude entry (the first, if
+several tie) is positive, so the embedding's signs do not depend on
+which solver or BLAS build produced it.
 
 Embeddings are only identified up to an orthogonal transform, so any
 comparison between two embeddings must go through
@@ -32,16 +35,23 @@ from __future__ import annotations
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._shared import BLOCK_ENTRIES, ParameterRangeError, is_symmetric, mirror_upper, row_blocks
 
 INPUT_SYMMETRY_TOL = 1e-12
+# From this size two index-range solves cost less than a full ``eigh``:
+# a d = 2 ``top_d_eigen`` takes 0.33 ms against 0.41-0.54 ms at n = 100,
+# and about the same either way at n = 60, 0.16-0.20 ms (2-core x86-64
+# machine, numpy 2.4). Below it the full decomposition is kept.
+DENSE_ENDS_MIN_N = 100
 # Below this size one dense solve costs less than loading ARPACK once:
-# a dense ``top_d_eigen`` takes about 12 ms at n = 500 and 72 ms at
-# n = 999, while importing scipy.sparse.linalg after dpase.cli takes
-# 0.09-0.12 s and 30 MB (2-core x86-64 machine, numpy 2.4, scipy 1.17).
+# a d = 2 ``top_d_eigen`` takes 51-52 ms at n = 999 on the two-ended
+# path, while importing scipy.sparse.linalg after dpase.cli takes
+# 0.09-0.12 s and 30 MB (same machine, scipy 1.17).
 LANCZOS_MIN_N = 1000
 
 
@@ -165,41 +175,66 @@ def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
     return M
 
 
-def _scipy_blas_threads():
-    """(get, set) for the thread count of the OpenBLAS that scipy's BLAS
-    wrappers link, or None if they link no OpenBLAS that exports them.
+class _OpenBlas(NamedTuple):
+    """Entry points of one loaded OpenBLAS: its thread count's getter and
+    setter, and LAPACKE's ``dsyevr`` with the integer type of its LAPACK
+    (None if it exports none)."""
+
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    dsyevr: Callable | None
+    lapack_int: type
+
+
+@cache
+def _openblas(module) -> _OpenBlas | None:
+    """The OpenBLAS that the extension module links, or None if it links
+    no OpenBLAS that exports its thread count.
 
     numpy's and scipy's wheels each bundle their own OpenBLAS, each with
-    its own thread pool. Looking the symbols up through the handle of
-    scipy's BLAS extension (``dlsym`` searches an object and then what it
-    links) finds scipy's copy, which ARPACK links too, wherever it is
-    installed, and never numpy's.
+    its own thread pool. Looking the symbols up through the handle of an
+    extension module (``dlsym`` searches an object and then what it
+    links) finds the copy that module calls, wherever it is installed:
+    ``scipy.linalg._fblas`` reaches scipy's, which ARPACK links too, and
+    ``numpy.linalg._umath_linalg`` reaches numpy's. A ``64_`` suffix
+    marks a 64-bit integer (ILP64) build.
     """
-    from scipy.linalg import _fblas
-
-    lib = ctypes.CDLL(_fblas.__file__)
-    for setter in ("scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-                   "openblas_set_num_threads", "openblas_set_num_threads64_"):
-        if hasattr(lib, setter):
-            get, set_ = getattr(lib, setter.replace("_set_", "_get_")), getattr(lib, setter)
+    lib = ctypes.CDLL(module.__file__)
+    for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
+        if hasattr(lib, f"{prefix}openblas_set_num_threads{suffix}"):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            integer = ctypes.c_int64 if suffix else ctypes.c_int32
+            dsyevr = getattr(lib, f"{prefix}LAPACKE_dsyevr{suffix}", None)
+            if dsyevr is not None:
+                # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu,
+                #  abstol, m, w, z, ldz, isuppz) -> info
+                char, array, real = ctypes.c_char, ctypes.c_void_p, ctypes.c_double
+                dsyevr.argtypes = [ctypes.c_int, char, char, char, integer, array, integer, real,
+                                   real, integer, integer, real, ctypes.POINTER(integer), array,
+                                   array, integer, array]
+                dsyevr.restype = integer
+            return _OpenBlas(get, set_, dsyevr, integer)
     return None
 
 
 @contextmanager
-def _one_scipy_blas_thread():
-    """Run scipy's OpenBLAS on the calling thread for the block, then
-    restore its previous thread count; do nothing if it is not found.
+def _one_blas_thread(found: _OpenBlas | None):
+    """Run the found OpenBLAS on the calling thread for the block, then
+    restore its previous thread count; do nothing if none was found.
 
-    Up to n = 4000 a Lanczos solve gains nothing measurable from a
-    second thread (``dspmv`` runs on one either way), but after each
-    threaded call the pool's worker busy-waits, and it then competes
-    with numpy's own pool (LOOCV's products) for the cores. The count is
-    process-wide while the block runs, so one thread at a time may solve.
+    After each threaded call a pool's worker busy-waits, and it then
+    competes with the other library's pool for the cores. Up to n = 4000
+    a Lanczos solve gains nothing measurable from a second thread
+    (``dspmv`` runs on one either way), and a two-ended dense
+    ``top_d_eigen`` at n = 300 and d = 2 takes 2.5-2.6 ms of wall and
+    CPU time on one thread, where a full ``eigh`` took 3.5-5.2 ms of wall
+    and 7.4-9.2 ms of CPU time on two. The count is process-wide while
+    the block runs, so one thread at a time may solve.
     """
-    get, set_ = _scipy_blas_threads() or (lambda: None, lambda count: None)
+    get, set_ = found[:2] if found else (lambda: None, lambda count: None)
     before = get()
     set_(1)
     try:
@@ -225,19 +260,58 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     # Imported here so that runs which never reach this path do not pay
     # scipy's import time and memory.
+    from scipy.linalg import _fblas
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n = P.n
     op = LinearOperator((n, n), matvec=P.matvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        with _one_scipy_blas_thread():
+        with _one_blas_thread(_openblas(_fblas)):
             return eigsh(op, k=d, which="LM", v0=v0, tol=0.0, maxiter=10 * n,
                          ncv=min(n, max(20, min(4 * d, 2 * d + 20))))
     except ArpackNoConvergence as exc:
         raise np.linalg.LinAlgError(
             f"Lanczos eigensolver did not converge for d={d} at n={n}: {exc}"
         ) from exc
+
+
+def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d lowest and the d highest eigenpairs in ascending order, from
+    two index-range ``dsyevr`` calls to numpy's own LAPACK on one thread;
+    all n pairs from ``np.linalg.eigh`` if numpy's BLAS exports no
+    ``dsyevr``. Needs 2 d < n, so the two ranges do not overlap.
+
+    For part of the spectrum ``dsyevr`` reduces the matrix to tridiagonal
+    form and runs bisection and inverse iteration on it, so it skips the
+    full decomposition and its n^2 eigenvector entries. The matrix is
+    unpacked once: the first call reads and overwrites only its lower
+    triangle and the diagonal (column-major, ``'L'``), so after the
+    diagonal is put back the second reads the untouched upper one
+    (``'U'``). A failed call or a wrong pair count raises
+    ``np.linalg.LinAlgError``.
+    """
+    found = _openblas(np.linalg._umath_linalg)
+    if found is None or found.dsyevr is None:
+        return np.linalg.eigh(P.dense())
+    n, M = P.n, P.dense()
+    diagonal = M.diagonal().copy()
+    # Row i of Z is eigenvector i: column-major n x 2d, leading dimension n.
+    w, Z = np.empty((2, n)), np.empty((2 * d, n))
+    isuppz, m = np.empty(2 * d, dtype=found.lapack_int), found.lapack_int()
+    with _one_blas_thread(found):
+        for half, (uplo, first) in enumerate(((b"L", 1), (b"U", n - d + 1))):
+            np.fill_diagonal(M, diagonal)
+            info = found.dsyevr(102, b"V", b"I", uplo, n, M.ctypes.data, n, 0.0, 0.0,
+                                first, first + d - 1, 0.0, ctypes.byref(m),
+                                w[half].ctypes.data, Z[half * d:].ctypes.data, n,
+                                isuppz.ctypes.data)
+            if info != 0 or m.value != d:
+                raise np.linalg.LinAlgError(
+                    f"dsyevr failed for pairs {first}..{first + d - 1} at n={n}: "
+                    f"info={info}, {m.value} pairs"
+                )
+    return np.concatenate((w[0, :d], w[1, :d])), Z.T
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -251,28 +325,34 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
 
     M is a square array or a :class:`PackedSymmetric`. With
     ``n >= LANCZOS_MIN_N`` and ``2 d < n`` ARPACK's Lanczos solver
-    computes just the d pairs from packed mat-vecs; otherwise the matrix
-    is unpacked and a full dense symmetric decomposition is truncated.
-    Ties in magnitude rank the positive eigenvalue first, then fall back
-    to ascending position among the solver's ascending eigenvalues, so
-    results are deterministic. On the Lanczos path a +/- magnitude tie
-    that straddles position d is resolved by the solver, which returns
-    only d pairs. Each eigenvector's sign is fixed so that its
-    largest-|entry| component (the first, if several tie) is positive.
-    Within numerically degenerate eigenspaces any orthonormal basis may
-    be returned. Lanczos non-convergence raises ``np.linalg.LinAlgError``,
-    and a d outside 1..n raises ``ParameterRangeError``. A square array
-    is checked to be finite and symmetric within ``INPUT_SYMMETRY_TOL``
-    (a bool 0/1 adjacency exactly, on its one-byte entries) and then
-    packed from its upper triangle.
+    computes just the d pairs from packed mat-vecs. Otherwise the matrix
+    is unpacked: with ``n >= DENSE_ENDS_MIN_N`` and ``2 d < n`` LAPACK
+    finds only the d lowest and the d highest pairs, else a full dense
+    symmetric decomposition is truncated. Ties in magnitude rank the
+    positive eigenvalue first, then fall back to ascending position
+    among the solver's ascending eigenvalues, so results are
+    deterministic. On the Lanczos path a +/- magnitude tie that
+    straddles position d is resolved by the solver, which returns only d
+    pairs. Each eigenvector's sign is fixed so that its largest-|entry|
+    component (the first, if several tie) is positive. Within
+    numerically degenerate eigenspaces any orthonormal basis may be
+    returned. Lanczos non-convergence or a failed LAPACK call raises
+    ``np.linalg.LinAlgError``, and a d outside 1..n raises
+    ``ParameterRangeError``. A square array is checked to be finite and
+    symmetric within ``INPUT_SYMMETRY_TOL`` (a bool 0/1 adjacency
+    exactly, on its one-byte entries) and then packed from its upper
+    triangle.
     """
     P = _packed(M)
     n = P.n
     if not 1 <= d <= n:
         raise ParameterRangeError(f"embedding dimension must satisfy 1 <= d <= {n}, got {d}")
-    # 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach.
+    # 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach, and
+    # the two ends of the spectrum apart.
     if n >= LANCZOS_MIN_N and 2 * d < n:
         w, V = _lanczos(P, d)
+    elif n >= DENSE_ENDS_MIN_N and 2 * d < n:
+        w, V = _two_ends(P, d)
     else:
         w, V = np.linalg.eigh(P.dense())
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), w[i] < 0, i))[:d]

@@ -92,12 +92,14 @@ class _PlainReferences:
     so a replaced simulated graph is freed before the next one is drawn.
 
     A graph's top-d eigenpairs by magnitude are the leading d of its top-D
-    pairs for any D >= d, and both solver paths sort and sign-fix the pairs
-    column by column. So a graph's first request makes one plain solve, at
-    the largest d of ``d_list`` that fits the graph (1 <= d <= n), and
-    every d up to it gets the leading columns of that embedding: the same
-    bits as its own solve on the dense path, differences at rounding level
-    (about 1e-13) on the Lanczos path. If that solve raises
+    pairs for any D >= d, and every solver path sorts and sign-fixes the
+    pairs column by column. So a graph's first request makes one plain
+    solve, at the largest d of ``d_list`` that fits the graph
+    (1 <= d <= n), and every d up to it gets the leading columns of that
+    embedding: the same bits as its own solve on the full dense path
+    (below ``DENSE_ENDS_MIN_N``, or for half the spectrum), differences at
+    rounding level (about 1e-13) on the two-ended and Lanczos paths,
+    which solve for d pairs at a time. If that solve raises
     ``LinAlgError``, every smaller d solves on its own, so only the cells
     whose own solve fails are tagged. A d outside 1..n solves on its own
     and raises. Solves are deterministic, so a d whose solve raised

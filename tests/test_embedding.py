@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.linalg import _fblas
 
 import dpase
 import oracles
@@ -15,16 +16,24 @@ from conftest import TILE_CASE_ENTRIES, TILE_CASE_N, traced_peak
 from dpase import (
     PrivacyBudget,
     SbmParams,
+    SimulationSource,
     ase,
     calibrate_noise,
     frobenius_distance,
     procrustes_align,
+    run_privacy_grid,
     sample_sbm,
     sample_symmetric_noise,
     top_d_eigen,
 )
 from dpase import _shared, embedding
-from dpase.embedding import LANCZOS_MIN_N, PackedSymmetric, _check_symmetric, _packed
+from dpase.embedding import (
+    DENSE_ENDS_MIN_N,
+    LANCZOS_MIN_N,
+    PackedSymmetric,
+    _check_symmetric,
+    _packed,
+)
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
 # roots of the characteristic polynomial of B_TWO_BLOCK (quadratic formula)
@@ -331,18 +340,175 @@ class TestLanczosPath:
         assert result.stdout.strip() == "False"
 
 
+def numpy_dsyevr():
+    """numpy's OpenBLAS as the two-ended path finds it; skips the test if
+    it exports no ``dsyevr``, where that path runs ``eigh`` instead."""
+    found = embedding._openblas(np.linalg._umath_linalg)
+    if found is None or found.dsyevr is None:
+        pytest.skip("numpy's BLAS exports no LAPACKE dsyevr")
+    return found
+
+
+def with_dsyevr(monkeypatch, fake) -> None:
+    """Route the two-ended path's ``dsyevr`` calls through fake(real, *args)."""
+    found = numpy_dsyevr()
+    patched = found._replace(dsyevr=lambda *args: fake(found.dsyevr, *args))
+    monkeypatch.setattr(embedding, "_openblas", lambda module: patched)
+
+
+def path_graph(n: int) -> np.ndarray:
+    P = np.diag(np.ones(n - 1), 1)
+    return P + P.T
+
+
+class TestTwoEndedPath:
+    @pytest.mark.parametrize("n", [100, 150, 300])
+    def test_matches_the_full_decomposition_for_every_d_below_half(self, n):
+        M = private_matrix(n, 60 + n)
+        w, V = np.linalg.eigh(M)
+        scale = np.abs(w).max()
+        gaps = np.diff(w)
+        gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+        for d in range(1, (n - 1) // 2 + 1):
+            pairs = top_d_eigen(M, d)
+            order = sorted(range(n), key=lambda i: (-abs(w[i]), w[i] < 0, i))[:d]
+            assert np.abs(pairs.values - w[order]).max() <= 1e-12 * scale
+            # Pairs at least 1e-6 ||M|| from every other eigenvalue span the
+            # same lines as the reference's: |V^T V_ref| is the identity.
+            apart = gap[order] >= 1e-6 * scale
+            overlap = np.abs(pairs.vectors[:, apart].T @ V[:, order][:, apart])
+            assert np.abs(overlap - np.eye(apart.sum())).max() <= 1e-8
+            assert_sign_rule(pairs.vectors)
+
+    def test_a_bipartite_spectrum_ranks_the_positive_end_first(self):
+        # A path is bipartite and already tridiagonal with a zero diagonal,
+        # so bisection finds each eigenvalue at both ends exactly negated:
+        # every +/- pair is an exact magnitude tie.
+        M = path_graph(embedding.DENSE_ENDS_MIN_N)
+        (top,) = top_d_eigen(M, 1).values
+        pairs = top_d_eigen(M, 4)
+        assert top > 0
+        assert pairs.values[0] == -pairs.values[1] == top
+        assert pairs.values[2] == -pairs.values[3] > 0
+        # The -lambda vector is the +lambda one with every other sign flipped.
+        flip = np.where(np.arange(len(M)) % 2, -1.0, 1.0)
+        for plus, minus in ((0, 1), (2, 3)):
+            v_plus, v_minus = pairs.vectors[:, plus], pairs.vectors[:, minus]
+            assert min(np.abs(v_plus * flip - s * v_minus).max() for s in (1, -1)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_the_fallback_without_dsyevr_gives_the_same_pairs(self, monkeypatch, d):
+        M = private_matrix(300, 61)
+        pairs = top_d_eigen(M, d)
+        monkeypatch.setattr(embedding, "_openblas", lambda module: None)
+        full = top_d_eigen(M, d)
+        scale = abs(full.values[0])
+        assert np.abs(pairs.values - full.values).max() <= 1e-12 * scale
+        assert np.abs(pairs.vectors - full.vectors).max() <= 1e-10
+
+    def test_runs_two_dsyevr_calls_and_no_full_eigh(self, monkeypatch):
+        calls = []
+
+        def spy(real, *args):
+            calls.append((args[3], args[9], args[10]))  # uplo, il, iu
+            return real(*args)
+
+        def full(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh ran on the two-ended path")
+
+        with_dsyevr(monkeypatch, spy)
+        monkeypatch.setattr(np.linalg, "eigh", full)
+        n = embedding.DENSE_ENDS_MIN_N
+        top_d_eigen(random_symmetric(n, np.random.default_rng(62)), 3)
+        assert calls == [(b"L", 1, 3), (b"U", n - 2, n)]
+
+    @pytest.mark.parametrize("n, d, two_ended", [
+        (DENSE_ENDS_MIN_N, 2, True),
+        (DENSE_ENDS_MIN_N - 1, 2, False),
+        (DENSE_ENDS_MIN_N, DENSE_ENDS_MIN_N // 2, False),
+        (LANCZOS_MIN_N - 1, (LANCZOS_MIN_N - 2) // 2, True),
+    ])
+    def test_the_size_gate(self, monkeypatch, n, d, two_ended):
+        calls = []
+
+        def spy(real, *args):
+            calls.append(args[9])
+            return real(*args)
+
+        with_dsyevr(monkeypatch, spy)
+        top_d_eigen(random_symmetric(n, np.random.default_rng(63)), d)
+        assert len(calls) == 2 * int(two_ended)
+
+    @pytest.mark.parametrize("info, found_pairs", [(1, None), (0, -1)])
+    def test_a_failed_call_raises_linalg_error(self, monkeypatch, info, found_pairs):
+        def failing(real, *args):
+            code = real(*args)
+            if found_pairs is not None:
+                args[12]._obj.value += found_pairs  # m, passed by reference
+            return info or code
+
+        with_dsyevr(monkeypatch, failing)
+        with pytest.raises(np.linalg.LinAlgError, match="dsyevr failed"):
+            top_d_eigen(private_matrix(DENSE_ENDS_MIN_N, 64), 2)
+
+    def test_a_failed_call_tags_the_cell_eigen_error(self, monkeypatch):
+        with_dsyevr(monkeypatch, lambda real, *args: 1)
+        records = run_privacy_grid(
+            SimulationSource(SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])),
+            DENSE_ENDS_MIN_N, 2, [0.5], [0.01], 3, 1, 0,
+        )
+        assert [r.status for r in records] == ["eigen_error"]
+
+    def test_finds_numpys_pool_whenever_numpy_reports_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in blas["name"].lower():
+            pytest.skip(f"numpy's BLAS is {blas['name']}")
+        assert embedding._openblas(np.linalg._umath_linalg) is not None
+
+    def test_a_solve_runs_on_one_thread_and_restores_the_count(
+        self, monkeypatch, numpy_blas_count
+    ):
+        seen = []
+
+        def spy(real, *args):
+            seen.append(numpy_blas_count())
+            return real(*args)
+
+        with_dsyevr(monkeypatch, spy)
+        top_d_eigen(private_matrix(300, 65), 2)
+        assert seen == [1, 1]
+        assert numpy_blas_count() == 2
+
+    def test_a_failed_call_restores_the_count(self, monkeypatch, numpy_blas_count):
+        seen = []
+        with_dsyevr(monkeypatch, lambda real, *args: seen.append(numpy_blas_count()) or 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            top_d_eigen(private_matrix(300, 65), 2)
+        assert seen == [1]
+        assert numpy_blas_count() == 2
+
+
+def blas_count(module):
+    """The getter of the thread count of the OpenBLAS that the module
+    links, set to 2 while the test runs, so that a count left at 1 shows,
+    and restored after it."""
+    found = embedding._openblas(module)
+    if found is None:
+        pytest.skip(f"{module.__name__} links no OpenBLAS that exports its thread count")
+    before = found.get_threads()
+    found.set_threads(2)
+    yield found.get_threads
+    found.set_threads(before)
+
+
 @pytest.fixture
 def scipy_blas_count():
-    """The getter of scipy's OpenBLAS thread count, set to 2 for the test,
-    so that a count left at 1 shows, and restored after it."""
-    found = embedding._scipy_blas_threads()
-    if found is None:
-        pytest.skip("scipy's BLAS exports no OpenBLAS thread count")
-    get, set_ = found
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
+    yield from blas_count(_fblas)
+
+
+@pytest.fixture
+def numpy_blas_count():
+    yield from blas_count(np.linalg._umath_linalg)
 
 
 class TestScipyBlasThreads:
@@ -379,7 +545,7 @@ class TestScipyBlasThreads:
     def test_results_do_not_depend_on_finding_the_library(self, monkeypatch, lanczos_case):
         M, _ = lanczos_case
         pinned = top_d_eigen(M, 10)
-        monkeypatch.setattr(embedding, "_scipy_blas_threads", lambda: None)
+        monkeypatch.setattr(embedding, "_openblas", lambda module: None)
         unpinned = top_d_eigen(M, 10)
         assert np.array_equal(pinned.values, unpinned.values)
         assert np.array_equal(pinned.vectors, unpinned.vectors)
@@ -390,13 +556,17 @@ class TestScipyBlasThreads:
         blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if "openblas" not in blas["name"].lower():
             pytest.skip(f"scipy's BLAS is {blas['name']}")
-        assert embedding._scipy_blas_threads() is not None
+        assert embedding._openblas(_fblas) is not None
 
-    def test_a_dense_path_command_never_imports_scipy(self, tmp_path):
+    # n = 60 takes the full eigh; n = 300 the two-ended solve, which calls
+    # numpy's own LAPACK: importing scipy.linalg after dpase.cli adds about
+    # 27 MB of resident memory.
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_a_dense_path_command_never_imports_scipy(self, tmp_path, n):
         # The dense path would otherwise pay scipy's import time and memory.
         src = Path(dpase.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        args = ["privacy-grid", "--n", "60", "--B", "0.3,0.1,0.1,0.2", "--pi", "0.4,0.6",
+        args = ["privacy-grid", "--n", str(n), "--B", "0.3,0.1,0.1,0.2", "--pi", "0.4,0.6",
                 "--alpha", "0.1", "--delta", "0.01", "--out", str(tmp_path / "grid.csv")]
         probe = (f"import sys; from dpase.cli import main; code = main({args!r}); "
                  "print(code, 'scipy' in sys.modules)")

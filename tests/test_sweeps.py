@@ -331,8 +331,7 @@ class TestReuse:
         alone = run_dim_sweep(fixed_source(), 60, [2], 0.5, 0.01, 3, 2, 0)
         assert [r for r in nested if r.d == 2] == alone
 
-    def test_a_lanczos_sweep_slices_every_reference_from_one_solve(self, monkeypatch):
-        n = embedding.LANCZOS_MIN_N
+    def assert_sliced_like_its_own_solve(self, monkeypatch, n):
         source = fixed_source(n=n)
         alone = run_dim_sweep(source, n, [2], 0.5, 0.01, 3, 1, 0)
         plain = self.count_calls(monkeypatch, "ase")
@@ -345,6 +344,12 @@ class TestReuse:
         assert record.error_ase == own.error_ase
         assert record.error_dp == own.error_dp
         assert record.fnorm == pytest.approx(own.fnorm, rel=1e-10)
+
+    def test_a_lanczos_sweep_slices_every_reference_from_one_solve(self, monkeypatch):
+        self.assert_sliced_like_its_own_solve(monkeypatch, embedding.LANCZOS_MIN_N)
+
+    def test_a_two_ended_sweep_slices_every_reference_from_one_solve(self, monkeypatch):
+        self.assert_sliced_like_its_own_solve(monkeypatch, embedding.DENSE_ENDS_MIN_N)
 
     def test_a_simulated_graph_is_freed_before_the_next_is_drawn(self, monkeypatch):
         drawn = []
