@@ -15,9 +15,10 @@ packed straight from its one-byte rows, with no n x n float64 copy.
 The eigenpairs come from one of three solvers. Small matrices, and
 requests for at least half the spectrum, are unpacked and take a full
 dense symmetric decomposition (LAPACK) that is then truncated. From
-``DENSE_ENDS_MIN_N`` rows the matrix is unpacked and two index-range
-LAPACK solves find only the d lowest and the d highest pairs, among
-which the d of largest magnitude always lie. Matrices with at least
+``DENSE_ENDS_MIN_N`` rows the matrix is unpacked and reduced to
+tridiagonal form once, and bisection and inverse iteration on that form
+find only the d lowest and the d highest pairs, among which the d of
+largest magnitude always lie. Matrices with at least
 ``LANCZOS_MIN_N`` rows take ARPACK's restarted Lanczos iteration, which
 finds only the d wanted pairs with packed matrix-vector products (BLAS
 ``dspmv``). All paths order the pairs the same way and fix each
@@ -43,13 +44,13 @@ import numpy as np
 from ._shared import BLOCK_ENTRIES, ParameterRangeError, is_symmetric, mirror_upper, row_blocks
 
 INPUT_SYMMETRY_TOL = 1e-12
-# From this size two index-range solves cost less than a full ``eigh``:
-# a d = 2 ``top_d_eigen`` takes 0.33 ms against 0.41-0.54 ms at n = 100,
-# and about the same either way at n = 60, 0.16-0.20 ms (2-core x86-64
-# machine, numpy 2.4). Below it the full decomposition is kept.
+# From this size the two-ended solve costs less than a full ``eigh``: a
+# d = 2 ``top_d_eigen`` takes 0.26 ms against 0.41 ms at n = 100, and
+# about the same either way at n = 60, 0.17 ms (2-core x86-64 machine,
+# numpy 2.4). Below it the full decomposition is kept.
 DENSE_ENDS_MIN_N = 100
 # Below this size one dense solve costs less than loading ARPACK once:
-# a d = 2 ``top_d_eigen`` takes 51-52 ms at n = 999 on the two-ended
+# a d = 2 ``top_d_eigen`` takes 25-27 ms at n = 999 on the two-ended
 # path, while importing scipy.sparse.linalg after dpase.cli takes
 # 0.09-0.12 s and 30 MB (same machine, scipy 1.17).
 LANCZOS_MIN_N = 1000
@@ -132,12 +133,14 @@ class PackedSymmetric:
 
         return dspmv(self.n, 1.0, self.data, np.ravel(v), lower=1)
 
-    def dense(self) -> np.ndarray:
-        """The full symmetric n x n matrix."""
+    def dense(self, mirror: bool = True) -> np.ndarray:
+        """The full symmetric n x n matrix; without ``mirror`` only its
+        upper triangle and diagonal are set, the rest left uninitialized."""
         M = np.empty((self.n, self.n))
         for rows, mask, part in self._blocks():
             M[rows, rows.start:][mask] = self.data[part]
-        mirror_upper(M)
+        if mirror:
+            mirror_upper(M)
         return M
 
 
@@ -177,12 +180,16 @@ def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
 
 class _OpenBlas(NamedTuple):
     """Entry points of one loaded OpenBLAS: its thread count's getter and
-    setter, and LAPACKE's ``dsyevr`` with the integer type of its LAPACK
-    (None if it exports none)."""
+    setter, LAPACKE's ``dsytrd``, ``dstebz``, ``dstein`` and ``dormtr``
+    (each None if it does not export it), and the integer type of its
+    LAPACK."""
 
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
-    dsyevr: Callable | None
+    dsytrd: Callable | None
+    dstebz: Callable | None
+    dstein: Callable | None
+    dormtr: Callable | None
     lapack_int: type
 
 
@@ -206,17 +213,28 @@ def _openblas(module) -> _OpenBlas | None:
             set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            integer = ctypes.c_int64 if suffix else ctypes.c_int32
-            dsyevr = getattr(lib, f"{prefix}LAPACKE_dsyevr{suffix}", None)
-            if dsyevr is not None:
-                # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu,
-                #  abstol, m, w, z, ldz, isuppz) -> info
-                char, array, real = ctypes.c_char, ctypes.c_void_p, ctypes.c_double
-                dsyevr.argtypes = [ctypes.c_int, char, char, char, integer, array, integer, real,
-                                   real, integer, integer, real, ctypes.POINTER(integer), array,
-                                   array, integer, array]
-                dsyevr.restype = integer
-            return _OpenBlas(get, set_, dsyevr, integer)
+            k = ctypes.c_int64 if suffix else ctypes.c_int32
+            # i: the layout, c: a flag, k: a LAPACK integer, r: a double,
+            # m: a LAPACK integer passed by reference, p and q: contiguous
+            # arrays of doubles and of LAPACK integers.
+            i, c, r, m = ctypes.c_int, ctypes.c_char, ctypes.c_double, ctypes.POINTER(k)
+            p, q = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (float, k))
+            signatures = {  # each returns info
+                # (layout, uplo, n, a, lda, d, e, tau)
+                "dsytrd": [i, c, k, p, k, p, p, p],
+                # (range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit)
+                "dstebz": [c, c, k, r, r, k, k, r, p, p, m, m, p, q, q],
+                # (layout, n, d, e, m, w, iblock, isplit, z, ldz, ifail)
+                "dstein": [i, k, p, p, k, p, q, q, p, k, q],
+                # (layout, side, uplo, trans, m, n, a, lda, tau, c, ldc)
+                "dormtr": [i, c, c, c, k, k, p, k, p, p, k],
+            }
+            routines = {}
+            for name, argtypes in signatures.items():
+                routine = routines[name] = getattr(lib, f"{prefix}LAPACKE_{name}{suffix}", None)
+                if routine is not None:
+                    routine.argtypes, routine.restype = argtypes, k
+            return _OpenBlas(get, set_, **routines, lapack_int=k)
     return None
 
 
@@ -229,10 +247,10 @@ def _one_blas_thread(found: _OpenBlas | None):
     competes with the other library's pool for the cores. Up to n = 4000
     a Lanczos solve gains nothing measurable from a second thread
     (``dspmv`` runs on one either way), and a two-ended dense
-    ``top_d_eigen`` at n = 300 and d = 2 takes 2.5-2.6 ms of wall and
-    CPU time on one thread, where a full ``eigh`` took 3.5-5.2 ms of wall
-    and 7.4-9.2 ms of CPU time on two. The count is process-wide while
-    the block runs, so one thread at a time may solve.
+    ``top_d_eigen`` at n = 300 and d = 2 takes 1.4 ms of wall and CPU
+    time on one thread, where a full ``eigh`` took 3.5-5.2 ms of wall and
+    7.4-9.2 ms of CPU time on two. The count is process-wide while the
+    block runs, so one thread at a time may solve.
     """
     get, set_ = found[:2] if found else (lambda: None, lambda count: None)
     before = get()
@@ -278,40 +296,65 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d lowest and the d highest eigenpairs in ascending order, from
-    two index-range ``dsyevr`` calls to numpy's own LAPACK on one thread;
-    all n pairs from ``np.linalg.eigh`` if numpy's BLAS exports no
-    ``dsyevr``. Needs 2 d < n, so the two ranges do not overlap.
+    numpy's own LAPACK on one thread; all n pairs from ``np.linalg.eigh``
+    if numpy's BLAS does not export the four routines below. Needs
+    2 d < n, so the two ranges do not overlap.
 
-    For part of the spectrum ``dsyevr`` reduces the matrix to tridiagonal
-    form and runs bisection and inverse iteration on it, so it skips the
-    full decomposition and its n^2 eigenvector entries. The matrix is
-    unpacked once: the first call reads and overwrites only its lower
-    triangle and the diagonal (column-major, ``'L'``), so after the
-    diagonal is put back the second reads the untouched upper one
-    (``'U'``). A failed call or a wrong pair count raises
-    ``np.linalg.LinAlgError``.
+    ``dsytrd`` reduces the matrix to tridiagonal form once. At each end
+    ``dstebz`` finds the d eigenvalues by bisection and ``dstein`` their
+    vectors by inverse iteration (what ``dsyevr`` runs for part of the
+    spectrum), and one ``dormtr`` call maps all 2 d vectors back. The
+    full decomposition and its n^2 eigenvector entries are skipped. Only
+    the triangle that ``dsytrd`` reads (column-major ``'L'``, the packed
+    layout) is unpacked. A failed step, a wrong pair count or an
+    unconverged vector raises ``np.linalg.LinAlgError``.
     """
     found = _openblas(np.linalg._umath_linalg)
-    if found is None or found.dsyevr is None:
+    if found is None or None in (found.dsytrd, found.dstebz, found.dstein, found.dormtr):
         return np.linalg.eigh(P.dense())
-    n, M = P.n, P.dense()
-    diagonal = M.diagonal().copy()
+    # As dsyevr does, scale a matrix whose largest |entry| lies outside
+    # [rmin, rmax] into that range, where no step over- or underflows,
+    # and scale the eigenvalues back.
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    rmin, rmax = np.sqrt(tiny / eps), min(np.sqrt(eps / tiny), 1 / np.sqrt(np.sqrt(tiny)))
+    big = max(P.data.max(), -P.data.min())
+    sigma = rmin / big if 0 < big < rmin else rmax / big if big > rmax else 1.0
+    if sigma != 1.0:
+        P = PackedSymmetric(P.n, P.data * sigma)
+    n, M, integer = P.n, P.dense(mirror=False), found.lapack_int
+    diagonal, off, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    # dstein NaN-checks all n entries of w, not only the d it reads.
+    w = np.zeros((2, n))
     # Row i of Z is eigenvector i: column-major n x 2d, leading dimension n.
-    w, Z = np.empty((2, n)), np.empty((2 * d, n))
-    isuppz, m = np.empty(2 * d, dtype=found.lapack_int), found.lapack_int()
+    Z = np.empty((2 * d, n))
+    iblock, isplit, ifail = np.zeros((3, n), dtype=integer)
+    m, nsplit = integer(), integer()
+
+    def check(step: str, info: int, pairs: str, failed: str = "") -> None:
+        if info != 0 or failed:
+            raise np.linalg.LinAlgError(
+                f"{step} failed for pairs {pairs} at n={n}: info={info}{failed}"
+            )
+
     with _one_blas_thread(found):
-        for half, (uplo, first) in enumerate(((b"L", 1), (b"U", n - d + 1))):
-            np.fill_diagonal(M, diagonal)
-            info = found.dsyevr(102, b"V", b"I", uplo, n, M.ctypes.data, n, 0.0, 0.0,
-                                first, first + d - 1, 0.0, ctypes.byref(m),
-                                w[half].ctypes.data, Z[half * d:].ctypes.data, n,
-                                isuppz.ctypes.data)
-            if info != 0 or m.value != d:
-                raise np.linalg.LinAlgError(
-                    f"dsyevr failed for pairs {first}..{first + d - 1} at n={n}: "
-                    f"info={info}, {m.value} pairs"
-                )
-    return np.concatenate((w[0, :d], w[1, :d])), Z.T
+        both = f"1..{d} and {n - d + 1}..{n}"
+        check("dsytrd", found.dsytrd(102, b"L", n, M, n, diagonal, off, tau), both)
+        for half, first in enumerate((1, n - d + 1)):
+            pairs = f"{first}..{first + d - 1}"
+            info = found.dstebz(b"I", b"B", n, 0.0, 0.0, first, first + d - 1, 0.0, diagonal,
+                                off, ctypes.byref(m), ctypes.byref(nsplit), w[half], iblock,
+                                isplit)
+            check("dstebz", info, pairs, "" if m.value == d else f", {m.value} pairs")
+            info = found.dstein(102, n, diagonal, off, d, w[half], iblock, isplit,
+                                Z[half * d:], n, ifail)
+            failed = ifail[:d][ifail[:d] != 0]
+            check("dstein", info, pairs, f", unconverged {failed}" if failed.size else "")
+        check("dormtr", found.dormtr(102, b"L", b"L", b"N", n, 2 * d, M, n, tau, Z, n), both)
+    # dstebz lists the eigenvalues of each block of a split tridiagonal
+    # matrix in turn; sort them, as dsyevr does.
+    w = np.concatenate((w[0, :d], w[1, :d])) * (1 / sigma)
+    order = np.argsort(w, kind="stable")
+    return w[order], Z.T[:, order]
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -336,7 +379,7 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     pairs. Each eigenvector's sign is fixed so that its largest-|entry|
     component (the first, if several tie) is positive. Within
     numerically degenerate eigenspaces any orthonormal basis may be
-    returned. Lanczos non-convergence or a failed LAPACK call raises
+    returned. Lanczos non-convergence or a failed LAPACK step raises
     ``np.linalg.LinAlgError``, and a d outside 1..n raises
     ``ParameterRangeError``. A square array is checked to be finite and
     symmetric within ``INPUT_SYMMETRY_TOL`` (a bool 0/1 adjacency

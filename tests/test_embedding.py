@@ -119,12 +119,13 @@ class TestTopDEigen:
             assert abs(pairs.values.sum() - np.trace(M)) < 1e-8
 
 
-def private_matrix(n: int, seed: int) -> np.ndarray:
-    """A + E for a blockmodel graph A and its calibrated noise E: a float
-    matrix that is exactly symmetric, as every ``dp_ase`` input is."""
+def private_matrix(n: int, seed: int, alpha: float = 0.1) -> np.ndarray:
+    """A + E for a blockmodel graph A and its noise E calibrated to
+    (alpha, 0.001): a float matrix that is exactly symmetric, as every
+    ``dp_ase`` input is."""
     params = SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])
     M = sample_symmetric_noise(
-        n, calibrate_noise(n, 2, PrivacyBudget(0.1, 0.001)), np.random.default_rng(seed)
+        n, calibrate_noise(n, 2, PrivacyBudget(alpha, 0.001)), np.random.default_rng(seed)
     ).dense()
     M += sample_sbm(params, n, np.random.default_rng(seed)).adjacency
     return M
@@ -340,19 +341,26 @@ class TestLanczosPath:
         assert result.stdout.strip() == "False"
 
 
-def numpy_dsyevr():
+ROUTINES = ("dsytrd", "dstebz", "dstein", "dormtr")
+
+
+def numpy_lapack():
     """numpy's OpenBLAS as the two-ended path finds it; skips the test if
-    it exports no ``dsyevr``, where that path runs ``eigh`` instead."""
+    it lacks one of ``ROUTINES``, where that path runs ``eigh`` instead."""
     found = embedding._openblas(np.linalg._umath_linalg)
-    if found is None or found.dsyevr is None:
-        pytest.skip("numpy's BLAS exports no LAPACKE dsyevr")
+    if found is None or any(getattr(found, name) is None for name in ROUTINES):
+        pytest.skip("numpy's BLAS exports no LAPACKE dsytrd, dstebz, dstein or dormtr")
     return found
 
 
-def with_dsyevr(monkeypatch, fake) -> None:
-    """Route the two-ended path's ``dsyevr`` calls through fake(real, *args)."""
-    found = numpy_dsyevr()
-    patched = found._replace(dsyevr=lambda *args: fake(found.dsyevr, *args))
+def with_routines(monkeypatch, fake, names=ROUTINES) -> None:
+    """Route the two-ended path's calls of each named routine through
+    fake(name, real, *args)."""
+    found = numpy_lapack()
+    patched = found._replace(**{
+        name: lambda *args, name=name: fake(name, getattr(found, name), *args)
+        for name in names
+    })
     monkeypatch.setattr(embedding, "_openblas", lambda module: patched)
 
 
@@ -361,24 +369,68 @@ def path_graph(n: int) -> np.ndarray:
     return P + P.T
 
 
+def assert_matches_eigh(M: np.ndarray, ds) -> None:
+    """top_d_eigen(M, d) for each d against the full ``eigh``: the same
+    values, orthonormal vectors with small residuals, and, for each pair
+    at least 1e-6 ||M|| from every other eigenvalue, the same line as the
+    reference's vector (|V^T V_ref| is the identity)."""
+    n = len(M)
+    w, V = np.linalg.eigh(M)
+    scale = np.abs(w).max()
+    gaps = np.diff(w)
+    gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    for d in ds:
+        pairs = top_d_eigen(M, d)
+        order = sorted(range(n), key=lambda i: (-abs(w[i]), w[i] < 0, i))[:d]
+        assert np.abs(pairs.values - w[order]).max() <= 1e-12 * scale
+        assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(d)).max() <= 1e-12
+        residual = M @ pairs.vectors - pairs.vectors * pairs.values
+        assert np.abs(residual).max() <= 1e-13 * scale
+        apart = gap[order] >= 1e-6 * scale
+        overlap = np.abs(pairs.vectors[:, apart].T @ V[:, order][:, apart])
+        assert np.abs(overlap - np.eye(apart.sum())).max() <= 1e-8
+        assert_sign_rule(pairs.vectors)
+
+
 class TestTwoEndedPath:
     @pytest.mark.parametrize("n", [100, 150, 300])
     def test_matches_the_full_decomposition_for_every_d_below_half(self, n):
-        M = private_matrix(n, 60 + n)
-        w, V = np.linalg.eigh(M)
-        scale = np.abs(w).max()
-        gaps = np.diff(w)
-        gap = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-        for d in range(1, (n - 1) // 2 + 1):
-            pairs = top_d_eigen(M, d)
-            order = sorted(range(n), key=lambda i: (-abs(w[i]), w[i] < 0, i))[:d]
-            assert np.abs(pairs.values - w[order]).max() <= 1e-12 * scale
-            # Pairs at least 1e-6 ||M|| from every other eigenvalue span the
-            # same lines as the reference's: |V^T V_ref| is the identity.
-            apart = gap[order] >= 1e-6 * scale
-            overlap = np.abs(pairs.vectors[:, apart].T @ V[:, order][:, apart])
-            assert np.abs(overlap - np.eye(apart.sum())).max() <= 1e-8
-            assert_sign_rule(pairs.vectors)
+        assert_matches_eigh(private_matrix(n, 60 + n), range(1, (n - 1) // 2 + 1))
+
+    def test_matches_the_full_decomposition_below_the_lanczos_size(self):
+        assert_matches_eigh(private_matrix(LANCZOS_MIN_N - 1, 66), (1, 2, 10, 49))
+
+    @pytest.mark.parametrize("n", [300, LANCZOS_MIN_N - 1])
+    def test_matches_the_full_decomposition_at_the_tight_corner(self, n):
+        # At alpha = delta = 0.001 the retained pairs are noise at the edges
+        # of the bulk. Some sit closer than 1e-3 ||M|| to a neighbour, so
+        # dstein reorthogonalizes their vectors within a cluster.
+        M = private_matrix(n, 67, alpha=0.001)
+        w = np.linalg.eigvalsh(M)
+        ends = np.concatenate((np.diff(w[:49]), np.diff(w[-49:])))
+        assert (ends < 1e-3 * np.abs(w).max()).any()
+        assert_matches_eigh(M, (2, 10, 49))
+
+    def test_a_graph_in_pieces_matches_the_full_decomposition(self):
+        # Separate components (and isolated vertices) split the tridiagonal
+        # matrix into blocks, whose eigenvalues bisection lists block by
+        # block; each end must still come back in ascending order.
+        rng = np.random.default_rng(70)
+        M = np.zeros((160, 160))
+        for piece, scale in ((slice(0, 60), 3.6), (slice(60, 150), 3.0)):
+            M[piece, piece] = random_symmetric(piece.stop - piece.start, rng) * scale
+        w, _ = embedding._two_ends(PackedSymmetric.pack(M), 5)
+        assert np.all(np.diff(w) >= 0)
+        assert_matches_eigh(M, (1, 2, 5, 10))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e150, 1e300])
+    def test_a_matrix_of_extreme_magnitude_is_scaled_into_range(self, scale):
+        # Unscaled, bisection underflows on the small ones (wrong values)
+        # and the large ones overflow (a failed step).
+        M = private_matrix(300, 69)
+        pairs, scaled = top_d_eigen(M, 3), top_d_eigen(M * scale, 3)
+        assert np.abs(scaled.values / scale - pairs.values).max() <= 1e-13 * abs(pairs.values[0])
+        assert np.abs(scaled.vectors - pairs.vectors).max() <= 1e-10
 
     def test_a_bipartite_spectrum_ranks_the_positive_end_first(self):
         # A path is bipartite and already tridiagonal with a zero diagonal,
@@ -396,31 +448,73 @@ class TestTwoEndedPath:
             v_plus, v_minus = pairs.vectors[:, plus], pairs.vectors[:, minus]
             assert min(np.abs(v_plus * flip - s * v_minus).max() for s in (1, -1)) <= 1e-12
 
+    @pytest.mark.parametrize("missing", [None, *ROUTINES])
     @pytest.mark.parametrize("d", [1, 2, 10])
-    def test_the_fallback_without_dsyevr_gives_the_same_pairs(self, monkeypatch, d):
+    def test_the_fallback_without_the_routines_gives_the_same_pairs(
+        self, monkeypatch, d, missing
+    ):
         M = private_matrix(300, 61)
         pairs = top_d_eigen(M, d)
-        monkeypatch.setattr(embedding, "_openblas", lambda module: None)
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or real(*args))
+        if missing is None:
+            monkeypatch.setattr(embedding, "_openblas", lambda module: None)
+        else:
+            lacking = numpy_lapack()._replace(**{missing: None})
+            monkeypatch.setattr(embedding, "_openblas", lambda module: lacking)
         full = top_d_eigen(M, d)
+        assert calls == [1]
         scale = abs(full.values[0])
         assert np.abs(pairs.values - full.values).max() <= 1e-12 * scale
         assert np.abs(pairs.vectors - full.vectors).max() <= 1e-10
 
-    def test_runs_two_dsyevr_calls_and_no_full_eigh(self, monkeypatch):
+    def test_reduces_once_and_back_transforms_once_with_no_full_eigh(self, monkeypatch):
         calls = []
 
-        def spy(real, *args):
-            calls.append((args[3], args[9], args[10]))  # uplo, il, iu
+        def spy(name, real, *args):
+            calls.append(name if name != "dstebz" else (name, args[5], args[6]))  # il, iu
+            if name == "dormtr":
+                assert args[5] == 6  # all 2 d vectors at once
             return real(*args)
 
         def full(*args, **kwargs):
             raise AssertionError("np.linalg.eigh ran on the two-ended path")
 
-        with_dsyevr(monkeypatch, spy)
+        with_routines(monkeypatch, spy)
         monkeypatch.setattr(np.linalg, "eigh", full)
         n = embedding.DENSE_ENDS_MIN_N
         top_d_eigen(random_symmetric(n, np.random.default_rng(62)), 3)
-        assert calls == [(b"L", 1, 3), (b"U", n - 2, n)]
+        assert calls == ["dsytrd", ("dstebz", 1, 3), "dstein", ("dstebz", n - 2, n), "dstein",
+                         "dormtr"]
+
+    def test_dstein_sees_a_finite_eigenvalue_buffer_of_length_n(self, monkeypatch):
+        # LAPACKE_dstein NaN-checks all n entries of w, not only the d it
+        # reads, so an uninitialized buffer fails at random with info = -6.
+        # Every new float buffer is filled with NaN here, to make that
+        # failure certain instead of random.
+        seen = []
+        real_empty = np.empty
+
+        def poisoned(shape, dtype=float, **kwargs):
+            out = real_empty(shape, dtype, **kwargs)
+            if np.issubdtype(out.dtype, np.floating):
+                out.fill(np.nan)
+            return out
+
+        def spy(name, real, *args):
+            w = args[5]
+            seen.append((w.shape, bool(np.isfinite(w).all())))
+            return real(*args)
+
+        M = private_matrix(300, 68)
+        expected = top_d_eigen(M, 2)
+        with_routines(monkeypatch, spy, names=("dstein",))
+        monkeypatch.setattr(np, "empty", poisoned)
+        pairs = top_d_eigen(M, 2)
+        assert seen == [((300,), True)] * 2
+        assert np.array_equal(pairs.values, expected.values)
+        assert np.array_equal(pairs.vectors, expected.vectors)
 
     @pytest.mark.parametrize("n, d, two_ended", [
         (DENSE_ENDS_MIN_N, 2, True),
@@ -430,29 +524,54 @@ class TestTwoEndedPath:
     ])
     def test_the_size_gate(self, monkeypatch, n, d, two_ended):
         calls = []
-
-        def spy(real, *args):
-            calls.append(args[9])
-            return real(*args)
-
-        with_dsyevr(monkeypatch, spy)
+        with_routines(monkeypatch, lambda name, real, *args: calls.append(name) or real(*args))
         top_d_eigen(random_symmetric(n, np.random.default_rng(63)), d)
-        assert len(calls) == 2 * int(two_ended)
+        assert calls.count("dsytrd") == calls.count("dormtr") == int(two_ended)
 
-    @pytest.mark.parametrize("info, found_pairs", [(1, None), (0, -1)])
-    def test_a_failed_call_raises_linalg_error(self, monkeypatch, info, found_pairs):
-        def failing(real, *args):
-            code = real(*args)
-            if found_pairs is not None:
-                args[12]._obj.value += found_pairs  # m, passed by reference
-            return info or code
+    # Each case fails one step: (routine, which of its calls, how, message).
+    FAILURES = [
+        ("dsytrd", 0, "info", r"dsytrd failed for pairs 1\.\.2 and 99\.\.100 at n=100: info=1"),
+        ("dstebz", 0, "info", r"dstebz failed for pairs 1\.\.2 at n=100: info=1"),
+        ("dstebz", 1, "count", r"dstebz failed for pairs 99\.\.100 at n=100: info=0, 1 pairs"),
+        ("dstein", 1, "info", r"dstein failed for pairs 99\.\.100 at n=100: info=1"),
+        ("dstein", 0, "ifail",
+         r"dstein failed for pairs 1\.\.2 at n=100: info=0, unconverged \[2\]"),
+        ("dormtr", 0, "info", r"dormtr failed for pairs 1\.\.2 and 99\.\.100 at n=100: info=1"),
+    ]
 
-        with_dsyevr(monkeypatch, failing)
-        with pytest.raises(np.linalg.LinAlgError, match="dsyevr failed"):
+    @staticmethod
+    def failing(step: str, call: int, how: str):
+        """A fake for ``with_routines`` that runs every call and spoils the
+        given call (0 for the first) of the given step: a nonzero info, one
+        pair too few (dstebz's m, passed by reference), or an unconverged
+        second vector in dstein's ifail."""
+        calls = []
+
+        def fake(name, real, *args):
+            info = real(*args)
+            if name != step:
+                return info
+            calls.append(name)
+            if len(calls) - 1 != call:
+                return info
+            if how == "count":
+                args[10]._obj.value -= 1
+            elif how == "ifail":
+                args[10][1] = 2
+            return 1 if how == "info" else info
+
+        return fake
+
+    @pytest.mark.parametrize("step, call, how, message", FAILURES,
+                             ids=[f"{step}-{how}" for step, _, how, _ in FAILURES])
+    def test_a_failed_step_raises_linalg_error(self, monkeypatch, step, call, how, message):
+        with_routines(monkeypatch, self.failing(step, call, how))
+        with pytest.raises(np.linalg.LinAlgError, match=message):
             top_d_eigen(private_matrix(DENSE_ENDS_MIN_N, 64), 2)
 
-    def test_a_failed_call_tags_the_cell_eigen_error(self, monkeypatch):
-        with_dsyevr(monkeypatch, lambda real, *args: 1)
+    @pytest.mark.parametrize("step", ROUTINES)
+    def test_a_failed_step_tags_the_cell_eigen_error(self, monkeypatch, step):
+        with_routines(monkeypatch, self.failing(step, 0, "info"))
         records = run_privacy_grid(
             SimulationSource(SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])),
             DENSE_ENDS_MIN_N, 2, [0.5], [0.01], 3, 1, 0,
@@ -470,21 +589,23 @@ class TestTwoEndedPath:
     ):
         seen = []
 
-        def spy(real, *args):
+        def spy(name, real, *args):
             seen.append(numpy_blas_count())
             return real(*args)
 
-        with_dsyevr(monkeypatch, spy)
+        with_routines(monkeypatch, spy)
         top_d_eigen(private_matrix(300, 65), 2)
-        assert seen == [1, 1]
+        assert seen == [1] * 6
         assert numpy_blas_count() == 2
 
-    def test_a_failed_call_restores_the_count(self, monkeypatch, numpy_blas_count):
+    @pytest.mark.parametrize("step", ROUTINES)
+    def test_a_failed_step_restores_the_count(self, monkeypatch, numpy_blas_count, step):
         seen = []
-        with_dsyevr(monkeypatch, lambda real, *args: seen.append(numpy_blas_count()) or 1)
-        with pytest.raises(np.linalg.LinAlgError):
+        fail = self.failing(step, 0, "info")
+        with_routines(monkeypatch, lambda *args: seen.append(numpy_blas_count()) or fail(*args))
+        with pytest.raises(np.linalg.LinAlgError, match=step):
             top_d_eigen(private_matrix(300, 65), 2)
-        assert seen == [1]
+        assert seen and set(seen) == {1}
         assert numpy_blas_count() == 2
 
 
