@@ -6,11 +6,12 @@ largest eigenvalue magnitude: each vertex i maps to row i of
 real when the retained set contains negative eigenvalues, and reduces to
 the usual square root when all retained eigenvalues are positive.
 
-Every symmetric matrix is decomposed from one layout, its row-major
-upper triangle packed into a vector of n (n + 1) / 2 float64 values
-(:class:`PackedSymmetric`), so a float matrix costs 4 n^2 bytes instead
-of 8 n^2. A dense input is checked and then packed; a bool adjacency is
-packed straight from its one-byte rows, with no n x n float64 copy.
+Every symmetric matrix is decomposed from one layout, one triangle
+packed into n (n + 1) / 2 float64 values in LAPACK's rectangular full
+packed (RFP) format (:class:`PackedSymmetric`), so a float matrix costs
+4 n^2 bytes instead of 8 n^2. A dense input is checked and then packed
+from its upper triangle; a bool adjacency is packed straight from its
+one-byte rows, with no n x n float64 copy.
 
 The eigenpairs come from one of three solvers. Small matrices, and
 requests for at least half the spectrum, are unpacked and take a full
@@ -20,8 +21,11 @@ tridiagonal form once, and bisection and inverse iteration on that form
 find only the d lowest and the d highest pairs, among which the d of
 largest magnitude always lie. Matrices with at least
 ``LANCZOS_MIN_N`` rows take ARPACK's restarted Lanczos iteration, which
-finds only the d wanted pairs with packed matrix-vector products (BLAS
-``dspmv``). All paths order the pairs the same way and fix each
+finds only the d wanted pairs with packed matrix-vector products. RFP
+holds two triangles and a dense block, each an ordinary strided matrix,
+so a product is four BLAS calls (``dsymv`` and ``dgemv``) split into two
+halves that the calling thread and one helper thread compute at once.
+All paths order the pairs the same way and fix each
 eigenvector's sign so that its largest-magnitude entry (the first, if
 several tie) is positive, so the embedding's signs do not depend on
 which solver or BLAS build produced it.
@@ -34,6 +38,8 @@ comparison between two embeddings must go through
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -41,7 +47,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._shared import BLOCK_ENTRIES, ParameterRangeError, is_symmetric, mirror_upper, row_blocks
+from ._shared import (
+    BLOCK_ENTRIES, ParameterRangeError, is_symmetric, mirror_upper, row_blocks, tile_pairs,
+)
 
 INPUT_SYMMETRY_TOL = 1e-12
 # From this size the two-ended solve costs less than a full ``eigh``: a
@@ -54,6 +62,11 @@ DENSE_ENDS_MIN_N = 100
 # path, while importing scipy.sparse.linalg after dpase.cli takes
 # 0.09-0.12 s and 30 MB (same machine, scipy 1.17).
 LANCZOS_MIN_N = 1000
+# ``PackedSymmetric.from_stream`` draws this many of M22's rows per call:
+# a noise draw at n = 300 takes 0.43 ms against 0.51 ms with one call
+# per row (0.35 ms for one call for the whole triangle), and its two
+# buffers of 16 n / 2 values stay far below the n^2 / 2 of the result.
+STREAM_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -82,66 +95,237 @@ class AlignmentResult:
 
 @dataclass(frozen=True)
 class PackedSymmetric:
-    """A symmetric n x n float64 matrix held as its upper triangle.
+    """A symmetric n x n float64 matrix in LAPACK's rectangular full packed
+    (RFP) layout, TRANSR = ``'N'``, UPLO = ``'L'``: the n (n + 1) / 2 values
+    of one triangle, laid out as one column-major array that holds two
+    triangles and one dense block.
 
-    ``data`` has length n (n + 1) / 2 and holds each row's part on and
-    right of the diagonal, ``M[i, i:]``, one row after another. This is
-    also the column-major lower packed layout that BLAS calls ``'L'``.
+    With n1 = ceil(n / 2) and n2 = n - n1, ``data`` is a column-major
+    array of lda = n + 1 (n even) or n (n odd) rows and n1 columns.
+    Column j, for j < n1, ends with ``M[j, j:]``, the part of row j on and
+    right of the diagonal, which covers M11 = ``M[:n1, :n1]`` and M21 =
+    ``M[n1:, :n1]``. In front of it come the entries of M22 = ``M[n1:,
+    n1:]`` up to and including its diagonal: row j of M22's lower triangle
+    in column j (n even) or column j + 1 (n odd). This is what
+    ``scipy.linalg.lapack.dtpttf`` makes from the row-major upper packed
+    vector. Every block is an ordinary strided matrix, so a product runs
+    on the dense BLAS kernels (see :meth:`matvec`).
     """
 
     n: int
     data: np.ndarray
 
     def __post_init__(self):
+        # The blocks are views of ``data`` and BLAS reads it by address.
         size = self.n * (self.n + 1) // 2
         if self.data.dtype != float or self.data.shape != (size,):
             raise ValueError(
                 f"a packed {self.n} x {self.n} matrix needs {size} float64 values, "
                 f"got shape {self.data.shape} of {self.data.dtype}"
             )
+        if not self.data.flags.c_contiguous:
+            raise ValueError("packed values must be one contiguous array")
 
     def _blocks(self):
-        """(rows, mask, part) for each block of rows: ``M[rows, rows.start:][mask]``
-        lists the block's entries on and right of the diagonal in packed
-        order, and ``data[part]`` holds them."""
+        """(rows, cols, mask, part) for each piece of a block of rows: the
+        entries of ``M[rows, cols]`` where ``mask`` holds, those on and right
+        of the diagonal, have their places in ``part``, a view of ``data``
+        of the same shape. A block's square on the diagonal takes a
+        triangular mask, the rest of its rows none (True). No block
+        straddles row n1, so a view is either the tails of RFP columns or
+        M22's lower triangle read across.
+        """
+        n, odd = self.n, self.n % 2
+        n1, n2 = n - n // 2, n // 2
+        columns = self.data.reshape(n1, n + 1 - odd)  # row j: RFP column j
+        lower = columns[odd:odd + n2, :n2]  # M22's lower triangle, row by row
+        for block in row_blocks(n):
+            for rows in (slice(block.start, min(block.stop, n1)),
+                         slice(max(block.start, n1), block.stop)):
+                start, stop = rows.start, rows.stop
+                if start >= stop:
+                    continue
+                if start < n1:
+                    part = columns[rows, start + 1 - odd:]
+                else:
+                    part = lower[start - n1:, start - n1:stop - n1].T
+                square = np.arange(stop - start)
+                yield rows, slice(start, stop), square >= square[:, None], part[:, :stop - start]
+                yield rows, slice(stop, n), True, part[:, stop - start:]
 
-        def start(i: int) -> int:  # where row i begins in ``data``
-            return i * self.n - i * (i - 1) // 2
-
-        for rows in row_blocks(self.n):
-            mask = np.arange(rows.start, self.n) >= np.arange(rows.start, rows.stop)[:, None]
-            yield rows, mask, slice(start(rows.start), start(rows.stop))
+    @classmethod
+    def from_stream(cls, n: int, draw: Callable[[np.ndarray], object]) -> PackedSymmetric:
+        """The symmetric matrix whose upper triangle, read row by row, is
+        what successive calls ``draw(out)`` write into the contiguous
+        float64 buffers ``out``. Rows 0 to n1 - 1 are drawn straight into
+        their places, the tails of RFP columns. M22's rows, whose places
+        are strided, are drawn ``STREAM_ROWS`` at a time into one buffer
+        and then copied, which takes fewer calls than one per row."""
+        odd, n1, n2 = n % 2, n - n // 2, n // 2
+        packed = cls(n, np.empty(n * (n + 1) // 2))
+        columns = packed.data.reshape(n1, n + 1 - odd)
+        for i in range(n1):
+            draw(columns[i, i + 1 - odd:])
+        lower = columns[odd:odd + n2, :n2]
+        flat, square = np.empty((2, min(n2, STREAM_ROWS) * n2))
+        # Row by row, where a broadcast comparison would take a ufunc buffer.
+        upper = np.zeros((min(n2, STREAM_ROWS), n2), dtype=bool)
+        for i in range(len(upper)):
+            upper[i, i:] = True
+        for r in range(0, n2, STREAM_ROWS):
+            rows, width = min(STREAM_ROWS, n2 - r), n2 - r
+            mask, tile = upper[:rows, :width], square[:rows * width].reshape(rows, width)
+            values = flat[:rows * width - rows * (rows - 1) // 2]
+            draw(values)
+            tile[mask] = values
+            np.copyto(lower[r:, r:r + rows], tile.T, where=mask.T)
+        return packed
 
     @classmethod
     def pack(cls, M: np.ndarray) -> PackedSymmetric:
-        """The upper triangle of the square matrix M, packed row by row."""
+        """The upper triangle of the square matrix M, packed."""
         n = len(M)
         packed = cls(n, np.empty(n * (n + 1) // 2))
-        for rows, mask, part in packed._blocks():
-            packed.data[part] = M[rows, rows.start:][mask]
+        for rows, cols, mask, part in packed._blocks():
+            np.copyto(part, M[rows, cols], where=mask)
         return packed
 
     def add(self, M: np.ndarray) -> None:
         """Add the upper triangle of the square n x n matrix M in place."""
-        for rows, mask, part in self._blocks():
-            self.data[part] += M[rows, rows.start:][mask]
+        for rows, cols, mask, part in self._blocks():
+            np.add(part, M[rows, cols], out=part, where=mask)
+
+    def _halves(self, v: np.ndarray, y: np.ndarray):
+        """Two functions that write y1 = M11 v1 + M21^T v2 and y2 = M22 v2 +
+        M21 v1 into the halves of y, through numpy's ``cblas_dsymv`` and
+        ``cblas_dgemv``; None if numpy's BLAS lacks either."""
+        blas = _openblas(np.linalg._umath_linalg)
+        if blas is None or blas.dsymv is None or blas.dgemv is None:
+            return None
+        n, odd = self.n, self.n % 2
+        n1, n2, lda = n - n // 2, n // 2, n + 1 - odd
+        a, x, out, size = self.data.ctypes.data, v.ctypes.data, y.ctypes.data, v.itemsize
+        m11, m21, m22 = a + (1 - odd) * size, a + (1 - odd + n1) * size, a + odd * lda * size
+        # Column-major (102); upper (121) or lower (122); not (111) or transposed (112).
+        def first():
+            blas.dsymv(102, 122, n1, 1.0, m11, lda, x, 1, 0.0, out, 1)
+            blas.dgemv(102, 112, n2, n1, 1.0, m21, lda, x + n1 * size, 1, 1.0, out, 1)
+
+        def second():
+            blas.dsymv(102, 121, n2, 1.0, m22, lda, x + n1 * size, 1, 0.0, out + n1 * size, 1)
+            blas.dgemv(102, 111, n2, n1, 1.0, m21, lda, x, 1, 1.0, out + n1 * size, 1)
+
+        return first, second
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """M @ v from the packed values (BLAS ``dspmv``)."""
-        # Imported here like ARPACK: only the Lanczos path multiplies.
-        from scipy.linalg.blas import dspmv
-
-        return dspmv(self.n, 1.0, self.data, np.ravel(v), lower=1)
+        """M @ v, block by block: y1 on the calling thread while one helper
+        thread computes y2 (see :func:`_split`). Without numpy's cblas
+        symbols, numpy multiplies the same blocks on the calling thread."""
+        v = np.ascontiguousarray(np.ravel(v), dtype=float)
+        if v.shape != (self.n,):
+            raise ValueError(f"expected a vector of {self.n} values, got {v.size}")
+        y = np.zeros(self.n)
+        halves = self._halves(v, y)
+        if halves is not None:
+            _split(*halves)
+            return y
+        n, odd = self.n, self.n % 2
+        n1 = n - n // 2
+        arf = self.data.reshape(n1, n + 1 - odd).T  # the column-major RFP array
+        m11, m21, m22 = arf[1 - odd:1 - odd + n1], arf[1 - odd + n1:], arf[:n // 2, odd:]
+        y[:n1] = _lower_symv(m11, v[:n1]) + m21.T @ v[n1:]
+        y[n1:] = _lower_symv(m22.T, v[n1:]) + m21 @ v[:n1]
+        return y
 
     def dense(self, mirror: bool = True) -> np.ndarray:
         """The full symmetric n x n matrix; without ``mirror`` only its
         upper triangle and diagonal are set, the rest left uninitialized."""
         M = np.empty((self.n, self.n))
-        for rows, mask, part in self._blocks():
-            M[rows, rows.start:][mask] = self.data[part]
+        for rows, cols, mask, part in self._blocks():
+            np.copyto(M[rows, cols], part, where=mask)
         if mirror:
             mirror_upper(M)
         return M
+
+
+def _lower_symv(T: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S @ x for the symmetric S whose lower triangle, diagonal included,
+    T holds; T's strict upper triangle is never read. Square tiles keep
+    the temporaries small."""
+    y = np.zeros(len(T))
+    for I, J in tile_pairs(len(T)):
+        tile = T[J, I]  # on or below the diagonal
+        if I == J:  # the diagonal counts once
+            tile = np.tril(tile)
+            y[I] += tile @ x[I] + tile.T @ x[I] - tile.diagonal() * x[I]
+        else:
+            y[J] += tile @ x[I]
+            y[I] += tile.T @ x[J]
+    return y
+
+
+class _Helper:
+    """One daemon thread that runs the second half of each split product.
+
+    The two halves hand off through two raw locks, whose waits block in C
+    with the GIL released: ``go`` starts the helper, ``done`` reports back.
+    An exception in the helper's half is kept and raised in the caller.
+    Products from several threads take the helper in turn (``busy``).
+    """
+
+    def __init__(self):
+        self.go, self.done, self.busy = threading.Lock(), threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.job = self.error = None
+        threading.Thread(target=self._serve, name="dpase-matvec", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            try:
+                self.job()
+            except BaseException as exc:  # raised again in the caller
+                self.error = exc
+            self.done.release()
+
+    def run(self, first: Callable[[], None], second: Callable[[], None]) -> None:
+        """first() on the calling thread and second() on the helper, at once."""
+        with self.busy:
+            self.job, self.error = second, None
+            self.go.release()
+            try:
+                first()
+            finally:
+                self.done.acquire()
+            error = self.error
+        if error is not None:
+            raise error
+
+
+_helper: _Helper | None = None
+_helper_start = threading.Lock()
+
+
+def _split(first: Callable[[], None], second: Callable[[], None]) -> None:
+    """Run the two halves of a product at once, starting the helper thread
+    at the first call."""
+    global _helper
+    with _helper_start:
+        if _helper is None:
+            _helper = _Helper()
+    _helper.run(first, second)
+
+
+def _forget_threads() -> None:
+    """In a forked child, which has only the forking thread, drop the
+    parent's helper and locks; the next product starts a new helper."""
+    global _helper, _helper_start, _pin_lock
+    _helper, _helper_start, _pin_lock = None, threading.Lock(), threading.Lock()
+    _pins.clear()
+
+
+os.register_at_fork(after_in_child=_forget_threads)
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:
@@ -180,9 +364,9 @@ def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
 
 class _OpenBlas(NamedTuple):
     """Entry points of one loaded OpenBLAS: its thread count's getter and
-    setter, LAPACKE's ``dsytrd``, ``dstebz``, ``dstein`` and ``dormtr``
-    (each None if it does not export it), and the integer type of its
-    LAPACK."""
+    setter, LAPACKE's ``dsytrd``, ``dstebz``, ``dstein`` and ``dormtr``,
+    CBLAS's ``dsymv`` and ``dgemv`` (each None if it does not export it),
+    and the integer type of its LAPACK and BLAS."""
 
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
@@ -190,6 +374,8 @@ class _OpenBlas(NamedTuple):
     dstebz: Callable | None
     dstein: Callable | None
     dormtr: Callable | None
+    dsymv: Callable | None
+    dgemv: Callable | None
     lapack_int: type
 
 
@@ -214,12 +400,14 @@ def _openblas(module) -> _OpenBlas | None:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
             k = ctypes.c_int64 if suffix else ctypes.c_int32
-            # i: the layout, c: a flag, k: a LAPACK integer, r: a double,
-            # m: a LAPACK integer passed by reference, p and q: contiguous
-            # arrays of doubles and of LAPACK integers.
+            # i: the layout or a CBLAS flag, c: a flag, k: a LAPACK integer,
+            # r: a double, m: a LAPACK integer passed by reference, p and q:
+            # contiguous arrays of doubles and of LAPACK integers, a: the
+            # address of a double, for a block inside a larger array.
             i, c, r, m = ctypes.c_int, ctypes.c_char, ctypes.c_double, ctypes.POINTER(k)
             p, q = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (float, k))
-            signatures = {  # each returns info
+            a = ctypes.c_void_p
+            signatures = {  # each LAPACKE routine returns info, CBLAS nothing
                 # (layout, uplo, n, a, lda, d, e, tau)
                 "dsytrd": [i, c, k, p, k, p, p, p],
                 # (range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit)
@@ -228,44 +416,72 @@ def _openblas(module) -> _OpenBlas | None:
                 "dstein": [i, k, p, p, k, p, q, q, p, k, q],
                 # (layout, side, uplo, trans, m, n, a, lda, tau, c, ldc)
                 "dormtr": [i, c, c, c, k, k, p, k, p, p, k],
+                # (layout, uplo, n, alpha, a, lda, x, incx, beta, y, incy)
+                "dsymv": [i, i, k, r, a, k, a, k, r, a, k],
+                # (layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
+                "dgemv": [i, i, k, k, r, a, k, a, k, r, a, k],
             }
             routines = {}
             for name, argtypes in signatures.items():
-                routine = routines[name] = getattr(lib, f"{prefix}LAPACKE_{name}{suffix}", None)
+                cblas = name in ("dsymv", "dgemv")
+                symbol = f"{prefix}{'cblas' if cblas else 'LAPACKE'}_{name}{suffix}"
+                routine = routines[name] = getattr(lib, symbol, None)
                 if routine is not None:
-                    routine.argtypes, routine.restype = argtypes, k
+                    routine.argtypes, routine.restype = argtypes, None if cblas else k
             return _OpenBlas(get, set_, **routines, lapack_int=k)
     return None
 
 
+# Per found library (keyed by its setter's id): [how many blocks pin it
+# now, the thread count to restore when the last one ends].
+_pins: dict = {}
+_pin_lock = threading.Lock()
+
+
 @contextmanager
 def _one_blas_thread(found: _OpenBlas | None):
-    """Run the found OpenBLAS on the calling thread for the block, then
-    restore its previous thread count; do nothing if none was found.
+    """Run each call of the found OpenBLAS on the thread that makes it
+    while the block runs, then restore its previous thread count; do
+    nothing if none was found.
 
     After each threaded call a pool's worker busy-waits, and it then
-    competes with the other library's pool for the cores. Up to n = 4000
-    a Lanczos solve gains nothing measurable from a second thread
-    (``dspmv`` runs on one either way), and a two-ended dense
-    ``top_d_eigen`` at n = 300 and d = 2 takes 1.4 ms of wall and CPU
-    time on one thread, where a full ``eigh`` took 3.5-5.2 ms of wall and
-    7.4-9.2 ms of CPU time on two. The count is process-wide while the
-    block runs, so one thread at a time may solve.
+    competes with the other library's pool, and with the helper thread
+    of the split product, for the cores. A Lanczos solve splits each
+    product over two threads itself (:meth:`PackedSymmetric.matvec`), and
+    a two-ended dense ``top_d_eigen`` at n = 300 and d = 2 takes 1.4 ms of
+    wall and CPU time on one thread, where a full ``eigh`` took 3.5-5.2 ms
+    of wall and 7.4-9.2 ms of CPU time on two. The count is process-wide,
+    so blocks that overlap in several threads are counted: the first
+    one sets the count to 1 and the last one to end restores it.
     """
-    get, set_ = found[:2] if found else (lambda: None, lambda count: None)
-    before = get()
-    set_(1)
+    if found is None:
+        yield
+        return
+    with _pin_lock:
+        pin = _pins.setdefault(id(found.set_threads), [0, None])
+        if pin[0] == 0:
+            pin[1] = found.get_threads()
+            found.set_threads(1)
+        pin[0] += 1
     try:
         yield
     finally:
-        set_(before)
+        with _pin_lock:
+            pin[0] -= 1
+            if pin[0] == 0:
+                found.set_threads(pin[1])
 
 
 def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d eigenpairs of largest magnitude from ARPACK, to machine precision.
 
-    The start vector comes from its own fixed-seed generator, so results
-    are reproducible and no caller's random stream is touched. The
+    ARPACK's own BLAS calls (scipy's OpenBLAS) and the packed products
+    (numpy's) both run with their pool pinned to one thread; each product
+    is split over the calling thread and one helper thread instead, which
+    nearly halves its wall time from n = 2000 on. The pin also keeps the
+    products' rounding independent of the pool's size. The start vector
+    comes from its own fixed-seed generator, so results are reproducible
+    and no caller's random stream is touched. The
     Krylov basis holds ``ncv = max(20, min(4 d, 2 d + 20))`` vectors
     (at most n). Past the K signal pairs of a blockmodel the wanted
     pairs sit in a tight cluster at the edge of the noise bulk, and
@@ -285,7 +501,8 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     op = LinearOperator((n, n), matvec=P.matvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        with _one_blas_thread(_openblas(_fblas)):
+        with _one_blas_thread(_openblas(_fblas)), \
+                _one_blas_thread(_openblas(np.linalg._umath_linalg)):
             return eigsh(op, k=d, which="LM", v0=v0, tol=0.0, maxiter=10 * n,
                          ncv=min(n, max(20, min(4 * d, 2 * d + 20))))
     except ArpackNoConvergence as exc:
@@ -374,7 +591,10 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     symmetric decomposition is truncated. Ties in magnitude rank the
     positive eigenvalue first, then fall back to ascending position
     among the solver's ascending eigenvalues, so results are
-    deterministic. On the Lanczos path a +/- magnitude tie that
+    deterministic. Magnitudes within n eps max|w| of each other count as
+    tied: the solvers compute an exact +/- pair (on a bipartite graph)
+    only to a few ulps of ||M||, so without that margin rounding would
+    pick the end. On the Lanczos path a +/- magnitude tie that
     straddles position d is resolved by the solver, which returns only d
     pairs. Each eigenvector's sign is fixed so that its largest-|entry|
     component (the first, if several tie) is positive. Within
@@ -398,7 +618,8 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
         w, V = _two_ends(P, d)
     else:
         w, V = np.linalg.eigh(P.dense())
-    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), w[i] < 0, i))[:d]
+    tie = n * np.finfo(float).eps * np.abs(w).max()
+    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]) - tie * (w[i] > 0), w[i] < 0, i))[:d]
     return EigenPairs(values=w[order], vectors=_fix_signs(V[:, order]))
 
 

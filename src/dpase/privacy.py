@@ -4,8 +4,8 @@ The release works in three steps: calibrate a per-entry Gaussian
 variance from the privacy budget, add a symmetric noise matrix to the
 adjacency matrix, and spectrally embed the perturbed matrix. The noise
 matrix is symmetric, so ``sample_symmetric_noise``, the mechanism's only
-noise draw, returns just its upper triangle, packed row by row
-(:class:`~dpase.embedding.PackedSymmetric`): one vector drawn in
+noise draw, returns just one triangle, packed
+(:class:`~dpase.embedding.PackedSymmetric`): its upper triangle drawn in
 row-major order, into which ``dp_ase`` adds the adjacency in place. Each
 call is a standalone (alpha, delta) release; composition across repeated
 queries is not accounted for here.
@@ -98,18 +98,26 @@ def sample_symmetric_noise(
     """Symmetric n x n Gaussian noise with per-entry variance beta_sq.
 
     The upper triangle including the diagonal is drawn i.i.d. from
-    N(0, beta_sq) with one call, in row-major order, and returned packed;
-    its mirror image is the lower triangle, so every entry keeps variance
-    exactly beta_sq (averaging two independent draws would halve it).
-    The packed vector, 4 n^2 bytes, is the only large allocation; call
-    ``.dense()`` for the full matrix.
+    N(0, beta_sq) in row-major order and returned packed; its mirror
+    image is the lower triangle, so every entry keeps variance exactly
+    beta_sq (averaging two independent draws would halve it). The values
+    are drawn in chunks of rows straight into the packed layout
+    (``PackedSymmetric.from_stream``) and are those of one ``rng.normal``
+    call for the whole triangle. The packed vector, 4 n^2 bytes, is the
+    only large allocation; call ``.dense()`` for the full matrix.
     """
     beta_sq = scale.beta_sq if isinstance(scale, NoiseScale) else float(scale)
     if not 0 < beta_sq < math.inf:
         raise ValueError(f"noise variance must be positive and finite, got {beta_sq}")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
-    return PackedSymmetric(n, rng.normal(0.0, math.sqrt(beta_sq), n * (n + 1) // 2))
+    noise = PackedSymmetric.from_stream(n, lambda out: rng.standard_normal(out=out))
+    # rng.normal(0, sigma) returns 0 + sigma z: scaling and then adding
+    # zero, which turns a -0.0 into 0.0, gives the same bits.
+    data = noise.data
+    data *= math.sqrt(beta_sq)
+    data += 0.0
+    return noise
 
 
 def dp_ase(
@@ -122,7 +130,7 @@ def dp_ase(
     to [0, 1] nor re-binarized, and the diagonal is not re-zeroed, since
     any such post-processing would change the released object. The noise
     comes packed from ``sample_symmetric_noise`` at the calibrated scale,
-    and each row ``A[i, i:]`` is added into it in place, so the only
+    and the upper triangle of A is added into it in place, so the only
     large buffer it allocates is 4 n^2 bytes.
     """
     A = validate_adjacency(A)

@@ -207,6 +207,18 @@ def grid_procrustes_distance(X, Y, step: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 # symmetric random matrices: draw the upper triangle, then mirror it
 
+def rfp_layout(M) -> np.ndarray:
+    """M's upper triangle in LAPACK's rectangular full packed layout
+    (TRANSR = 'N', UPLO = 'L'), made by LAPACK's own ``dtpttf`` from the
+    row-major upper packed vector (which is the column-major lower one)."""
+    from scipy.linalg.lapack import dtpttf
+
+    n = len(M)
+    rfp, info = dtpttf(n, np.asarray(M, dtype=float)[np.triu_indices(n)], transr="N", uplo="L")
+    assert info == 0
+    return rfp
+
+
 def triu_scatter_noise(n: int, beta_sq: float, rng) -> np.ndarray:
     """Symmetric N(0, beta_sq) noise from one draw of the upper triangle
     (diagonal included, row-major order) scattered through index arrays."""

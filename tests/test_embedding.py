@@ -1,8 +1,12 @@
 """Eigendecomposition, spectral embedding, and Procrustes alignment."""
 
+import contextlib
 import os
 import subprocess
 import sys
+import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,7 @@ from dpase import (
     top_d_eigen,
 )
 from dpase import _shared, embedding
+from dpase.cli import main
 from dpase.embedding import (
     DENSE_ENDS_MIN_N,
     LANCZOS_MIN_N,
@@ -187,32 +192,76 @@ class TestSymmetryCheck:
         assert peak <= 0.05 * n * n * 8
 
 
+LAYOUT_SIZES = [1, 2, 3, 4, 5, 7, 255, 256, 257, 300, 301, 1000, 1001]
+
+
+def without_cblas(monkeypatch) -> None:
+    """Make the packed product find no ``cblas_dsymv`` or ``cblas_dgemv``
+    in numpy's BLAS, so that it runs its numpy fallback."""
+    real = embedding._openblas
+    found = real(np.linalg._umath_linalg)
+    if found is not None:
+        lacking = found._replace(dsymv=None, dgemv=None)
+        monkeypatch.setattr(embedding, "_openblas", lambda module: lacking
+                            if module is np.linalg._umath_linalg else real(module))
+
+
 class TestPackedSymmetric:
     @pytest.mark.parametrize("block_entries", [None, 7])
-    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257])
-    def test_holds_the_row_major_upper_triangle(self, monkeypatch, n, block_entries):
+    @pytest.mark.parametrize("n", LAYOUT_SIZES)
+    def test_every_producer_writes_lapacks_rfp_layout(self, monkeypatch, n, block_entries):
         # Packing walks row blocks of about BLOCK_ENTRIES entries; 7 makes
         # blocks of one row (n > 3) or of several short rows (n <= 3).
+        # Every position is compared bit for bit with LAPACK's dtpttf.
         if block_entries is not None:
             monkeypatch.setattr(_shared, "BLOCK_ENTRIES", block_entries)
         M = random_symmetric(n, np.random.default_rng(n))
+        A = M > 0
         packed = PackedSymmetric.pack(M)
-        assert np.array_equal(packed.data, M[np.triu_indices(n)])
+        assert packed.data.tobytes() == oracles.rfp_layout(M).tobytes()
         assert np.array_equal(packed.dense(), M)
-        packed.add(M > 0)
-        assert np.array_equal(packed.data, (M + (M > 0))[np.triu_indices(n)])
+        assert PackedSymmetric.pack(A).data.tobytes() == oracles.rfp_layout(A).tobytes()
+        packed.add(A)
+        assert packed.data.tobytes() == oracles.rfp_layout(M + A).tobytes()
+        upper = packed.dense(mirror=False)[np.triu_indices(n)]
+        assert upper.tobytes() == (M + A)[np.triu_indices(n)].tobytes()
+        noise = sample_symmetric_noise(n, 0.3, np.random.default_rng(n))
+        E = oracles.triu_scatter_noise(n, 0.3, np.random.default_rng(n))
+        assert noise.data.tobytes() == oracles.rfp_layout(E).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000])
-    def test_matvec_agrees_with_the_dense_product(self, n):
+    @pytest.mark.parametrize("cblas", [True, False], ids=["cblas", "numpy"])
+    @pytest.mark.parametrize("n", LAYOUT_SIZES)
+    def test_matvec_agrees_with_the_dense_product(self, monkeypatch, n, cblas):
         rng = np.random.default_rng(n)
         M, v = random_symmetric(n, rng), rng.normal(size=n)
-        expected = M @ v
+        if not cblas:
+            without_cblas(monkeypatch)
         got = PackedSymmetric.pack(M).matvec(v)
-        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert np.abs(got - M @ v).max() <= 1e-13 * np.linalg.norm(M, 2) * np.abs(v).max()
+
+    def test_the_numpy_fallback_allocates_no_square_temporary(self, monkeypatch):
+        # Square tiles of 256 x 256 (0.066 n^2 at n = 1000); one n x n
+        # float64 temporary would be 1, and a quarter block 0.25.
+        n = 1000
+        rng = np.random.default_rng(57)
+        packed, v = PackedSymmetric.pack(random_symmetric(n, rng)), rng.normal(size=n)
+        without_cblas(monkeypatch)
+        assert traced_peak(lambda: packed.matvec(v)) <= 0.1 * n * n * 8
 
     def test_rejects_a_vector_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="needs 6 float64 values"):
             PackedSymmetric(3, np.zeros(5))
+
+    def test_rejects_values_that_are_not_one_contiguous_array(self):
+        # Its blocks are views of it, and BLAS reads it by address.
+        with pytest.raises(ValueError, match="one contiguous array"):
+            PackedSymmetric(3, np.zeros(12)[::2])
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_matvec_rejects_a_vector_of_the_wrong_length(self, length):
+        # BLAS would read past its end, or ignore its tail.
+        with pytest.raises(ValueError, match=f"expected a vector of 3 values, got {length}"):
+            PackedSymmetric.pack(np.eye(3)).matvec(np.ones(length))
 
     def test_non_finite_entry_is_rejected(self):
         data = np.zeros(6)
@@ -448,6 +497,34 @@ class TestTwoEndedPath:
             v_plus, v_minus = pairs.vectors[:, plus], pairs.vectors[:, minus]
             assert min(np.abs(v_plus * flip - s * v_minus).max() for s in (1, -1)) <= 1e-12
 
+    def test_a_bipartite_grid_keeps_the_positive_end_on_every_path(self, monkeypatch, tmp_path):
+        # On this bipartite blockmodel the full eigh computes |lambda-| a few
+        # ulps larger than lambda+ in replicate 0, while the two-ended solve
+        # ties them exactly; a d = 1 embedding must keep the same end either
+        # way, so the records must be the same.
+        args = ["privacy-grid", "--n", "120", "--B", "0,0.3,0.3,0", "--pi", "0.5,0.5",
+                "--alpha", "0.5,1", "--delta", "0.01", "--dim", "1", "--k", "3",
+                "--replicates", "5", "--seed", "7", "--out"]
+        numpy_lapack()
+        assert main([*args, str(tmp_path / "ends.csv")]) == 0
+        monkeypatch.setattr(embedding, "_openblas", lambda module: None)
+        assert main([*args, str(tmp_path / "eigh.csv")]) == 0
+        ends = (tmp_path / "ends.csv").read_text()
+        assert ends == (tmp_path / "eigh.csv").read_text()
+        first = ends.splitlines()[1].split(",")
+        assert first[9:11] == ["0.375", "0.575820406"]  # error_ase and fnorm
+
+    @pytest.mark.parametrize("excess, kept", [(0, 1.0), (8, 1.0), (16, -1.0)])
+    def test_magnitudes_within_n_eps_of_each_other_rank_the_positive_end_first(
+        self, excess, kept
+    ):
+        # n = 10: the margin is 10 eps max|w|, so a negative end larger by
+        # 8 eps is tied with the positive one, and by 16 eps it is not.
+        eps = np.finfo(float).eps
+        M = np.diag([0.5, 1.0, -(1.0 + excess * eps), 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1])
+        (top,) = top_d_eigen(M, 1).values
+        assert np.sign(top) == kept
+
     @pytest.mark.parametrize("missing", [None, *ROUTINES])
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_the_fallback_without_the_routines_gives_the_same_pairs(
@@ -663,13 +740,56 @@ class TestScipyBlasThreads:
         assert seen == [1]
         assert scipy_blas_count() == 2
 
-    def test_results_do_not_depend_on_finding_the_library(self, monkeypatch, lanczos_case):
+    @pytest.mark.parametrize("pool", ["scipy", "numpy"])
+    def test_results_do_not_depend_on_the_pin(self, monkeypatch, lanczos_case, pool):
+        # Without scipy's pin the results are the same bit for bit. Without
+        # numpy's, OpenBLAS splits each dsymv's sums over its threads, so
+        # they agree to rounding: numpy's pin is what keeps the products'
+        # bits independent of that pool's size.
         M, _ = lanczos_case
         pinned = top_d_eigen(M, 10)
-        monkeypatch.setattr(embedding, "_openblas", lambda module: None)
+        unpinned_found = embedding._openblas(_fblas if pool == "scipy" else np.linalg._umath_linalg)
+        real = embedding._one_blas_thread
+        monkeypatch.setattr(embedding, "_one_blas_thread", lambda found: contextlib.nullcontext()
+                            if found is unpinned_found else real(found))
         unpinned = top_d_eigen(M, 10)
-        assert np.array_equal(pinned.values, unpinned.values)
-        assert np.array_equal(pinned.vectors, unpinned.vectors)
+        if pool == "scipy":
+            assert np.array_equal(pinned.values, unpinned.values)
+            assert np.array_equal(pinned.vectors, unpinned.vectors)
+        else:
+            assert np.abs(pinned.values - unpinned.values).max() <= 1e-12 * abs(pinned.values[0])
+            assert np.abs(pinned.vectors - unpinned.vectors).max() <= 1e-8
+
+    def test_results_without_the_cblas_symbols_agree(self, monkeypatch, lanczos_case):
+        # The numpy fallback of the packed product rounds differently, so
+        # the pairs agree to the Lanczos path's own accuracy, not bitwise.
+        M, _ = lanczos_case
+        split = top_d_eigen(M, 10)
+        without_cblas(monkeypatch)
+        fallback = top_d_eigen(M, 10)
+        assert np.abs(split.values - fallback.values).max() <= 1e-12 * abs(split.values[0])
+        assert np.abs(split.vectors - fallback.vectors).max() <= 1e-8
+
+    def test_products_run_on_one_thread_of_numpys_pool(
+        self, monkeypatch, lanczos_case, numpy_blas_count
+    ):
+        M, _ = lanczos_case
+        found = numpy_cblas()
+        seen = []
+
+        def spy(*args):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         numpy_blas_count()))
+            return found.dsymv(*args)
+
+        real, spying = embedding._openblas, found._replace(dsymv=spy)
+        monkeypatch.setattr(embedding, "_openblas", lambda module: spying
+                            if module is np.linalg._umath_linalg else real(module))
+        top_d_eigen(M, 2)
+        # One dsymv per half: the caller's and the helper's, each at one thread.
+        assert seen and set(seen) == {(True, 1), (False, 1)}
+        assert seen.count((True, 1)) == seen.count((False, 1))
+        assert numpy_blas_count() == 2
 
     def test_finds_the_setter_whenever_scipy_reports_openblas(self):
         # A wheel that renames the symbols must fail here, not silently
@@ -689,13 +809,125 @@ class TestScipyBlasThreads:
         env = {**os.environ, "PYTHONPATH": str(src)}
         args = ["privacy-grid", "--n", str(n), "--B", "0.3,0.1,0.1,0.2", "--pi", "0.4,0.6",
                 "--alpha", "0.1", "--delta", "0.01", "--out", str(tmp_path / "grid.csv")]
-        probe = (f"import sys; from dpase.cli import main; code = main({args!r}); "
-                 "print(code, 'scipy' in sys.modules)")
+        probe = (f"import sys, threading; from dpase.cli import main; code = main({args!r}); "
+                 "print(code, 'scipy' in sys.modules, threading.active_count())")
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True,
             text=True, check=True,
         )
-        assert result.stdout.split()[-2:] == ["0", "False"]
+        # No helper thread either: only the Lanczos path splits products.
+        assert result.stdout.split()[-3:] == ["0", "False", "1"]
+
+
+def numpy_cblas():
+    """numpy's OpenBLAS as the packed product finds it; skips the test if
+    it lacks ``cblas_dsymv`` or ``cblas_dgemv``, where the product runs its
+    numpy fallback on the calling thread."""
+    found = embedding._openblas(np.linalg._umath_linalg)
+    if found is None or found.dsymv is None or found.dgemv is None:
+        pytest.skip("numpy's BLAS exports no cblas_dsymv or cblas_dgemv")
+    return found
+
+
+class TestSplitProduct:
+    """The helper thread that computes half of each packed product."""
+
+    def test_a_child_forked_after_a_solve_solves_again(self):
+        # The child has no helper thread, only the parent's record of one;
+        # it must start its own. The alarm ends a hung child by itself.
+        src = Path(dpase.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        script = textwrap.dedent("""
+            import os, signal
+            import numpy as np
+            from dpase import SbmParams, embedding, sample_sbm, top_d_eigen
+            params = SbmParams(B=np.array([[0.3, 0.1], [0.1, 0.2]]), pi=[0.4, 0.6])
+            A = sample_sbm(params, 1000, np.random.default_rng(40)).adjacency
+            first = top_d_eigen(A, 2)
+            parents = embedding._helper
+            assert parents is not None
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                again = top_d_eigen(A, 2)
+                same = (np.array_equal(again.values, first.values)
+                        and np.array_equal(again.vectors, first.vectors))
+                os._exit(0 if same and embedding._helper not in (None, parents) else 1)
+            print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.stdout.split() == ["0"], result.stderr
+
+    def test_threads_solving_at_once_get_the_serial_results(
+        self, lanczos_case, numpy_blas_count, scipy_blas_count
+    ):
+        # More solving threads than cores, switching often. Their products
+        # take the helper in turn, and the pins are counted, so both pools
+        # stay on one thread until the last solve ends: an unpinned pool
+        # would change the products' rounding, and a lost handoff would
+        # mix two products' halves.
+        M, _ = lanczos_case
+        packed = _packed(M)
+        dims = (10, 8, 6, 3)
+        serial = [top_d_eigen(packed, d) for d in dims]
+        start = threading.Barrier(len(dims))
+        results, spans = [None] * len(dims), [None] * len(dims)
+
+        def solve(i, d):
+            start.wait()
+            began = time.perf_counter()
+            results[i] = top_d_eigen(packed, d)
+            spans[i] = (began, time.perf_counter())
+
+        threads = [threading.Thread(target=solve, args=(i, d), daemon=True)
+                   for i, d in enumerate(dims)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert max(s[0] for s in spans) < min(s[1] for s in spans)  # they overlapped
+        for got, expected in zip(results, serial):
+            assert np.array_equal(got.values, expected.values)
+            assert np.array_equal(got.vectors, expected.vectors)
+        assert numpy_blas_count() == 2 and scipy_blas_count() == 2
+
+    def test_a_failure_in_the_helpers_half_raises_in_the_caller(self, monkeypatch):
+        found = numpy_cblas()
+        n = 300
+        rng = np.random.default_rng(58)
+        M, v = random_symmetric(n, rng), rng.normal(size=n)
+        packed = PackedSymmetric.pack(M)
+
+        def failing(layout, uplo, *args):
+            if uplo == 121:  # M22's upper triangle: the helper's half
+                raise RuntimeError("injected into the helper's half")
+            return found.dsymv(layout, uplo, *args)
+
+        monkeypatch.setattr(embedding, "_openblas", lambda module: found._replace(dsymv=failing))
+        raised = []
+
+        def multiply():
+            try:
+                packed.matvec(v)
+            except RuntimeError as exc:
+                raised.append((str(exc), threading.current_thread().name))
+
+        worker = threading.Thread(target=multiply, name="caller", daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert raised == [("injected into the helper's half", "caller")]
+        # The helper survives and serves the next product.
+        monkeypatch.undo()
+        expected = M @ v
+        assert np.abs(packed.matvec(v) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestAse:

@@ -257,7 +257,8 @@ class TestDpAse:
     @pytest.mark.parametrize("n", [1, 2, 257])
     def test_packed_matrix_is_the_whole_triangle_draw_plus_the_graph(self, monkeypatch, n):
         # The released matrix reaches ``ase`` as the packed upper triangle
-        # of A + E, with E from the one-shot draw of the whole triangle.
+        # of A + E, with E from the one-shot draw of the whole triangle;
+        # every position is compared with LAPACK's RFP layout of it.
         graph = sample_sbm(two_block_params(), n, np.random.default_rng(21))
         budget = PrivacyBudget(0.3, 0.001)
         seen, real = [], privacy_module.ase
@@ -271,8 +272,7 @@ class TestDpAse:
         dp_ase(graph.adjacency, 1, budget, rng)
         E = oracles.triu_scatter_noise(n, calibrate_noise(n, 1, budget).beta_sq, ref_rng)
         (packed,) = seen
-        upper = np.triu_indices(n)
-        assert packed.data.tobytes() == (graph.adjacency + E)[upper].tobytes()
+        assert packed.data.tobytes() == oracles.rfp_layout(graph.adjacency + E).tobytes()
         assert rng.random() == ref_rng.random()  # same share of the stream used
 
     def test_peak_memory_at_lanczos_size_is_about_one_matrix(self):
