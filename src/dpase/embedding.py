@@ -13,17 +13,16 @@ packed (RFP) format (:class:`PackedSymmetric`), so a float matrix costs
 from its upper triangle; a bool adjacency is packed straight from its
 one-byte rows, with no n x n float64 copy.
 
-The eigenpairs come from one of three solvers. Small matrices, and
-requests for at least half the spectrum, are unpacked and take a full
-dense symmetric decomposition (LAPACK) that is then truncated. From
-``DENSE_ENDS_MIN_N`` rows the matrix is unpacked and reduced to
-tridiagonal form once, and bisection and inverse iteration on that form
-find only the d lowest and the d highest pairs, among which the d of
-largest magnitude always lie. Matrices with at least
-``LANCZOS_MIN_N`` rows take ARPACK's restarted Lanczos iteration, which
-finds only the d wanted pairs with packed matrix-vector products. RFP
-holds two triangles and a dense block, each an ordinary strided matrix,
-so a product is four BLAS calls (``dsymv`` and ``dgemv``) split into two
+A request for at least half the spectrum takes a full dense symmetric
+decomposition (LAPACK) that is then truncated. Any other comes from one
+of two solvers, chosen by size. Below ``LANCZOS_MIN_N`` rows the matrix
+is unpacked and reduced to tridiagonal form once, and bisection and
+inverse iteration on that form find only the d lowest and the d highest
+pairs, among which the d of largest magnitude always lie. Larger
+matrices take ARPACK's restarted Lanczos iteration, which finds only
+the d wanted pairs with packed matrix-vector products. RFP holds two
+triangles and a dense block, each an ordinary strided matrix, so a
+product is four BLAS calls (``dsymv`` and ``dgemv``) split into two
 halves that the calling thread and one helper thread compute at once.
 All paths order the pairs the same way and fix each
 eigenvector's sign so that its largest-magnitude entry (the first, if
@@ -52,11 +51,6 @@ from ._shared import (
 )
 
 INPUT_SYMMETRY_TOL = 1e-12
-# From this size the two-ended solve costs less than a full ``eigh``: a
-# d = 2 ``top_d_eigen`` takes 0.26 ms against 0.41 ms at n = 100, and
-# about the same either way at n = 60, 0.17 ms (2-core x86-64 machine,
-# numpy 2.4). Below it the full decomposition is kept.
-DENSE_ENDS_MIN_N = 100
 # Below this size one dense solve costs less than loading ARPACK once:
 # a d = 2 ``top_d_eigen`` takes 25-27 ms at n = 999 on the two-ended
 # path, while importing scipy.sparse.linalg after dpase.cli takes
@@ -319,9 +313,14 @@ def _split(first: Callable[[], None], second: Callable[[], None]) -> None:
 
 def _forget_threads() -> None:
     """In a forked child, which has only the forking thread, drop the
-    parent's helper and locks; the next product starts a new helper."""
+    parent's helper and locks; the next product starts a new helper. A
+    pin held by another of the parent's threads would never end in the
+    child, so each held pin's thread count is restored first."""
     global _helper, _helper_start, _pin_lock
     _helper, _helper_start, _pin_lock = None, threading.Lock(), threading.Lock()
+    for count, saved, set_threads in _pins.values():
+        if count:
+            set_threads(saved)
     _pins.clear()
 
 
@@ -432,8 +431,9 @@ def _openblas(module) -> _OpenBlas | None:
     return None
 
 
-# Per found library (keyed by its setter's id): [how many blocks pin it
-# now, the thread count to restore when the last one ends].
+# Per found library, keyed by its setter's id (a ctypes function is not
+# hashable): [how many blocks pin it now, the thread count to restore
+# when the last one ends, the setter].
 _pins: dict = {}
 _pin_lock = threading.Lock()
 
@@ -458,7 +458,7 @@ def _one_blas_thread(found: _OpenBlas | None):
         yield
         return
     with _pin_lock:
-        pin = _pins.setdefault(id(found.set_threads), [0, None])
+        pin = _pins.setdefault(id(found.set_threads), [0, None, found.set_threads])
         if pin[0] == 0:
             pin[1] = found.get_threads()
             found.set_threads(1)
@@ -583,15 +583,15 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     """Eigenpairs of a symmetric matrix with the d largest |eigenvalues|.
 
-    M is a square array or a :class:`PackedSymmetric`. With
-    ``n >= LANCZOS_MIN_N`` and ``2 d < n`` ARPACK's Lanczos solver
-    computes just the d pairs from packed mat-vecs. Otherwise the matrix
-    is unpacked: with ``n >= DENSE_ENDS_MIN_N`` and ``2 d < n`` LAPACK
-    finds only the d lowest and the d highest pairs, else a full dense
-    symmetric decomposition is truncated. Ties in magnitude rank the
-    positive eigenvalue first, then fall back to ascending position
-    among the solver's ascending eigenvalues, so results are
-    deterministic. Magnitudes within n eps max|w| of each other count as
+    M is a square array or a :class:`PackedSymmetric`. With ``2 d >= n``
+    the matrix is unpacked and a full dense symmetric decomposition is
+    truncated. Otherwise, with ``n >= LANCZOS_MIN_N`` ARPACK's Lanczos
+    solver computes just the d pairs from packed mat-vecs, and below it
+    the matrix is unpacked and LAPACK finds only the d lowest and the d
+    highest pairs (a full decomposition if numpy's LAPACK lacks one of
+    the routines). Ties in magnitude rank the positive eigenvalue first,
+    then fall back to ascending position among the solver's ascending
+    eigenvalues, so results are deterministic. Magnitudes within n eps max|w| of each other count as
     tied: the solvers compute an exact +/- pair (on a bipartite graph)
     only to a few ulps of ||M||, so without that margin rounding would
     pick the end. On the Lanczos path a +/- magnitude tie that
@@ -610,14 +610,14 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     n = P.n
     if not 1 <= d <= n:
         raise ParameterRangeError(f"embedding dimension must satisfy 1 <= d <= {n}, got {d}")
-    # 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach, and
-    # the two ends of the spectrum apart.
-    if n >= LANCZOS_MIN_N and 2 * d < n:
-        w, V = _lanczos(P, d)
-    elif n >= DENSE_ENDS_MIN_N and 2 * d < n:
-        w, V = _two_ends(P, d)
-    else:
+    # Only 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach,
+    # and the two ends of the spectrum apart.
+    if 2 * d >= n:
         w, V = np.linalg.eigh(P.dense())
+    elif n >= LANCZOS_MIN_N:
+        w, V = _lanczos(P, d)
+    else:
+        w, V = _two_ends(P, d)
     tie = n * np.finfo(float).eps * np.abs(w).max()
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]) - tie * (w[i] > 0), w[i] < 0, i))[:d]
     return EigenPairs(values=w[order], vectors=_fix_signs(V[:, order]))

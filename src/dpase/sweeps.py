@@ -97,8 +97,8 @@ class _PlainReferences:
     solve, at the largest d of ``d_list`` that fits the graph
     (1 <= d <= n), and every d up to it gets the leading columns of that
     embedding: the same bits as its own solve on the full dense path
-    (below ``DENSE_ENDS_MIN_N``, or for half the spectrum), differences at
-    rounding level (about 1e-13) on the two-ended and Lanczos paths,
+    (for half the spectrum or more), differences at rounding level
+    (about 1e-13) on the two-ended and Lanczos paths,
     which solve for d pairs at a time. If that solve raises
     ``LinAlgError``, every smaller d solves on its own, so only the cells
     whose own solve fails are tagged. A d outside 1..n solves on its own

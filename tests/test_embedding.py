@@ -33,7 +33,6 @@ from dpase import (
 from dpase import _shared, embedding
 from dpase.cli import main
 from dpase.embedding import (
-    DENSE_ENDS_MIN_N,
     LANCZOS_MIN_N,
     PackedSymmetric,
     _check_symmetric,
@@ -442,7 +441,7 @@ def assert_matches_eigh(M: np.ndarray, ds) -> None:
 
 
 class TestTwoEndedPath:
-    @pytest.mark.parametrize("n", [100, 150, 300])
+    @pytest.mark.parametrize("n", [*range(3, 101), 150, 300])
     def test_matches_the_full_decomposition_for_every_d_below_half(self, n):
         assert_matches_eigh(private_matrix(n, 60 + n), range(1, (n - 1) // 2 + 1))
 
@@ -460,13 +459,15 @@ class TestTwoEndedPath:
         assert (ends < 1e-3 * np.abs(w).max()).any()
         assert_matches_eigh(M, (2, 10, 49))
 
-    def test_a_graph_in_pieces_matches_the_full_decomposition(self):
+    @pytest.mark.parametrize("n", [48, 160])
+    def test_a_graph_in_pieces_matches_the_full_decomposition(self, n):
         # Separate components (and isolated vertices) split the tridiagonal
         # matrix into blocks, whose eigenvalues bisection lists block by
         # block; each end must still come back in ascending order.
         rng = np.random.default_rng(70)
-        M = np.zeros((160, 160))
-        for piece, scale in ((slice(0, 60), 3.6), (slice(60, 150), 3.0)):
+        M = np.zeros((n, n))
+        first, second = 3 * n // 8, 15 * n // 16
+        for piece, scale in ((slice(0, first), 3.6), (slice(first, second), 3.0)):
             M[piece, piece] = random_symmetric(piece.stop - piece.start, rng) * scale
         w, _ = embedding._two_ends(PackedSymmetric.pack(M), 5)
         assert np.all(np.diff(w) >= 0)
@@ -485,7 +486,7 @@ class TestTwoEndedPath:
         # A path is bipartite and already tridiagonal with a zero diagonal,
         # so bisection finds each eigenvalue at both ends exactly negated:
         # every +/- pair is an exact magnitude tie.
-        M = path_graph(embedding.DENSE_ENDS_MIN_N)
+        M = path_graph(100)
         (top,) = top_d_eigen(M, 1).values
         pairs = top_d_eigen(M, 4)
         assert top > 0
@@ -560,7 +561,7 @@ class TestTwoEndedPath:
 
         with_routines(monkeypatch, spy)
         monkeypatch.setattr(np.linalg, "eigh", full)
-        n = embedding.DENSE_ENDS_MIN_N
+        n = 100
         top_d_eigen(random_symmetric(n, np.random.default_rng(62)), 3)
         assert calls == ["dsytrd", ("dstebz", 1, 3), "dstein", ("dstebz", n - 2, n), "dstein",
                          "dormtr"]
@@ -593,17 +594,34 @@ class TestTwoEndedPath:
         assert np.array_equal(pairs.values, expected.values)
         assert np.array_equal(pairs.vectors, expected.vectors)
 
-    @pytest.mark.parametrize("n, d, two_ended", [
-        (DENSE_ENDS_MIN_N, 2, True),
-        (DENSE_ENDS_MIN_N - 1, 2, False),
-        (DENSE_ENDS_MIN_N, DENSE_ENDS_MIN_N // 2, False),
-        (LANCZOS_MIN_N - 1, (LANCZOS_MIN_N - 2) // 2, True),
+    TWO_ENDS = ["dsytrd", "dstebz", "dstein", "dstebz", "dstein", "dormtr"]
+
+    @pytest.mark.parametrize("n, d, missing, solved_by", [
+        (3, 1, None, TWO_ENDS),
+        (LANCZOS_MIN_N - 1, 2, None, TWO_ENDS),
+        (LANCZOS_MIN_N - 1, (LANCZOS_MIN_N - 2) // 2, None, TWO_ENDS),
+        (3, 2, None, ["eigh"]),
+        (4, 2, None, ["eigh"]),
+        (LANCZOS_MIN_N - 1, LANCZOS_MIN_N // 2, None, ["eigh"]),
+        (LANCZOS_MIN_N, LANCZOS_MIN_N // 2, None, ["eigh"]),
+        (3, 1, "dstein", ["eigh"]),
+        (300, 2, "dsytrd", ["eigh"]),
+        (LANCZOS_MIN_N, 2, None, ["eigsh"]),
     ])
-    def test_the_size_gate(self, monkeypatch, n, d, two_ended):
+    def test_the_size_gate(self, monkeypatch, n, d, missing, solved_by):
+        # A full eigh only for half the spectrum or more, or without one of
+        # the routines; ARPACK from LANCZOS_MIN_N; the two ends otherwise.
         calls = []
         with_routines(monkeypatch, lambda name, real, *args: calls.append(name) or real(*args))
+        if missing is not None:
+            lacking = embedding._openblas(np.linalg._umath_linalg)._replace(**{missing: None})
+            monkeypatch.setattr(embedding, "_openblas", lambda module: lacking)
+        for module, name in ((np.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real, **kwargs:
+                                calls.append(name) or real(*args, **kwargs))
         top_d_eigen(random_symmetric(n, np.random.default_rng(63)), d)
-        assert calls.count("dsytrd") == calls.count("dormtr") == int(two_ended)
+        assert calls == solved_by
 
     # Each case fails one step: (routine, which of its calls, how, message).
     FAILURES = [
@@ -644,14 +662,14 @@ class TestTwoEndedPath:
     def test_a_failed_step_raises_linalg_error(self, monkeypatch, step, call, how, message):
         with_routines(monkeypatch, self.failing(step, call, how))
         with pytest.raises(np.linalg.LinAlgError, match=message):
-            top_d_eigen(private_matrix(DENSE_ENDS_MIN_N, 64), 2)
+            top_d_eigen(private_matrix(100, 64), 2)
 
     @pytest.mark.parametrize("step", ROUTINES)
     def test_a_failed_step_tags_the_cell_eigen_error(self, monkeypatch, step):
         with_routines(monkeypatch, self.failing(step, 0, "info"))
         records = run_privacy_grid(
             SimulationSource(SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6])),
-            DENSE_ENDS_MIN_N, 2, [0.5], [0.01], 3, 1, 0,
+            100, 2, [0.5], [0.01], 3, 1, 0,
         )
         assert [r.status for r in records] == ["eigen_error"]
 
@@ -799,9 +817,9 @@ class TestScipyBlasThreads:
             pytest.skip(f"scipy's BLAS is {blas['name']}")
         assert embedding._openblas(_fblas) is not None
 
-    # n = 60 takes the full eigh; n = 300 the two-ended solve, which calls
-    # numpy's own LAPACK: importing scipy.linalg after dpase.cli adds about
-    # 27 MB of resident memory.
+    # Both take the two-ended solve, which calls numpy's own LAPACK:
+    # importing scipy.linalg after dpase.cli adds about 27 MB of resident
+    # memory.
     @pytest.mark.parametrize("n", [60, 300])
     def test_a_dense_path_command_never_imports_scipy(self, tmp_path, n):
         # The dense path would otherwise pay scipy's import time and memory.
@@ -858,6 +876,46 @@ class TestSplitProduct:
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                 text=True, timeout=120)
         assert result.stdout.split() == ["0"], result.stderr
+
+    def test_a_child_forked_while_another_thread_holds_a_pin_restores_the_count(self):
+        # The holding thread does not exist in the child, so its pin would
+        # never end there and the pool would stay on one thread. The pool
+        # is set to 2 threads first, so that a count left at 1 shows even
+        # where the default is 1; the child exits with its count after a
+        # pinned block of its own.
+        if embedding._openblas(np.linalg._umath_linalg) is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
+        src = Path(dpase.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        script = textwrap.dedent("""
+            import os, signal, threading
+            import numpy as np
+            from dpase import embedding
+            found = embedding._openblas(np.linalg._umath_linalg)
+            found.set_threads(2)
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                with embedding._one_blas_thread(found):
+                    held.set()
+                    release.wait()
+
+            thread = threading.Thread(target=hold)
+            thread.start()
+            held.wait()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                with embedding._one_blas_thread(found):
+                    pass
+                os._exit(found.get_threads())
+            release.set()
+            thread.join()
+            print(found.get_threads(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.stdout.split() == ["2", "2"], result.stderr
 
     def test_threads_solving_at_once_get_the_serial_results(
         self, lanczos_case, numpy_blas_count, scipy_blas_count

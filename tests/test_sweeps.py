@@ -325,11 +325,13 @@ class TestReuse:
         assert [args[1] for args in plain] == [5]
 
     def test_a_sliced_dense_reference_equals_its_own_solve(self):
-        # On the dense path the leading columns of the d = 5 solve are the
-        # d = 2 solve bit for bit, so the d = 2 records do not change.
-        nested = run_dim_sweep(fixed_source(), 60, [5, 2], 0.5, 0.01, 3, 2, 0)
-        alone = run_dim_sweep(fixed_source(), 60, [2], 0.5, 0.01, 3, 2, 0)
-        assert [r for r in nested if r.d == 2] == alone
+        # For half the spectrum or more the full dense decomposition runs,
+        # and the leading columns of the d = 8 solve are the d = 6 solve
+        # bit for bit, so the d = 6 records do not change.
+        nested = run_dim_sweep(fixed_source(n=12), 12, [8, 6], 0.5, 0.01, 3, 2, 0)
+        alone = run_dim_sweep(fixed_source(n=12), 12, [6], 0.5, 0.01, 3, 2, 0)
+        assert [r.status for r in nested] == ["ok"] * 4
+        assert [r for r in nested if r.d == 6] == alone
 
     def assert_sliced_like_its_own_solve(self, monkeypatch, n):
         source = fixed_source(n=n)
@@ -349,7 +351,7 @@ class TestReuse:
         self.assert_sliced_like_its_own_solve(monkeypatch, embedding.LANCZOS_MIN_N)
 
     def test_a_two_ended_sweep_slices_every_reference_from_one_solve(self, monkeypatch):
-        self.assert_sliced_like_its_own_solve(monkeypatch, embedding.DENSE_ENDS_MIN_N)
+        self.assert_sliced_like_its_own_solve(monkeypatch, 60)
 
     def test_a_simulated_graph_is_freed_before_the_next_is_drawn(self, monkeypatch):
         drawn = []
