@@ -56,11 +56,6 @@ INPUT_SYMMETRY_TOL = 1e-12
 # path, while importing scipy.sparse.linalg after dpase.cli takes
 # 0.09-0.12 s and 30 MB (same machine, scipy 1.17).
 LANCZOS_MIN_N = 1000
-# ``PackedSymmetric.from_stream`` draws this many of M22's rows per call:
-# a noise draw at n = 300 takes 0.43 ms against 0.51 ms with one call
-# per row (0.35 ms for one call for the whole triangle), and its two
-# buffers of 16 n / 2 values stay far below the n^2 / 2 of the result.
-STREAM_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -110,6 +105,8 @@ class PackedSymmetric:
     data: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise ValueError(f"matrix size must be a non-negative integer, got {self.n!r}")
         # The blocks are views of ``data`` and BLAS reads it by address.
         size = self.n * (self.n + 1) // 2
         if self.data.dtype != float or self.data.shape != (size,):
@@ -146,34 +143,6 @@ class PackedSymmetric:
                 square = np.arange(stop - start)
                 yield rows, slice(start, stop), square >= square[:, None], part[:, :stop - start]
                 yield rows, slice(stop, n), True, part[:, stop - start:]
-
-    @classmethod
-    def from_stream(cls, n: int, draw: Callable[[np.ndarray], object]) -> PackedSymmetric:
-        """The symmetric matrix whose upper triangle, read row by row, is
-        what successive calls ``draw(out)`` write into the contiguous
-        float64 buffers ``out``. Rows 0 to n1 - 1 are drawn straight into
-        their places, the tails of RFP columns. M22's rows, whose places
-        are strided, are drawn ``STREAM_ROWS`` at a time into one buffer
-        and then copied, which takes fewer calls than one per row."""
-        odd, n1, n2 = n % 2, n - n // 2, n // 2
-        packed = cls(n, np.empty(n * (n + 1) // 2))
-        columns = packed.data.reshape(n1, n + 1 - odd)
-        for i in range(n1):
-            draw(columns[i, i + 1 - odd:])
-        lower = columns[odd:odd + n2, :n2]
-        flat, square = np.empty((2, min(n2, STREAM_ROWS) * n2))
-        # Row by row, where a broadcast comparison would take a ufunc buffer.
-        upper = np.zeros((min(n2, STREAM_ROWS), n2), dtype=bool)
-        for i in range(len(upper)):
-            upper[i, i:] = True
-        for r in range(0, n2, STREAM_ROWS):
-            rows, width = min(STREAM_ROWS, n2 - r), n2 - r
-            mask, tile = upper[:rows, :width], square[:rows * width].reshape(rows, width)
-            values = flat[:rows * width - rows * (rows - 1) // 2]
-            draw(values)
-            tile[mask] = values
-            np.copyto(lower[r:, r:r + rows], tile.T, where=mask.T)
-        return packed
 
     @classmethod
     def pack(cls, M: np.ndarray) -> PackedSymmetric:

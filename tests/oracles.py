@@ -5,8 +5,9 @@ eigenvalues come from characteristic-polynomial root isolation instead
 of LAPACK, large-matrix eigenpairs from a full dense decomposition
 instead of Lanczos iteration, nearest-neighbor answers from a pure-Python exhaustive sort,
 Procrustes optima from a dense grid over all 2x2 orthogonal maps,
-symmetric random matrices from a whole upper triangle mirrored after
-the fact instead of row by row in place, and edge lists from a
+symmetric random matrices from a whole triangle mirrored after the
+fact (noise unpacked from RFP by LAPACK's ``dtfttp``) instead of row by
+row in place or block by block from the packed layout, and edge lists from a
 line-by-line parse into a float64 matrix instead of a vectorized one.
 """
 
@@ -219,14 +220,21 @@ def rfp_layout(M) -> np.ndarray:
     return rfp
 
 
-def triu_scatter_noise(n: int, beta_sq: float, rng) -> np.ndarray:
-    """Symmetric N(0, beta_sq) noise from one draw of the upper triangle
-    (diagonal included, row-major order) scattered through index arrays."""
+def rfp_noise(n: int, beta_sq: float, rng) -> np.ndarray:
+    """Symmetric N(0, beta_sq) noise from one draw of a whole triangle
+    (diagonal included) taken as an RFP array (TRANSR = 'N', UPLO = 'L'),
+    unpacked by LAPACK's own ``dtfttp`` into the column-major lower packed
+    vector (which is the row-major upper one), then scattered through
+    index arrays and mirrored."""
+    from scipy.linalg.lapack import dtfttp
+
+    draws = rng.normal(0.0, math.sqrt(beta_sq), size=n * (n + 1) // 2)
+    packed, info = dtfttp(n, draws, transr="N", uplo="L")
+    assert info == 0
     rows, cols = np.triu_indices(n)
-    draws = rng.normal(0.0, math.sqrt(beta_sq), size=rows.size)
     E = np.zeros((n, n))
-    E[rows, cols] = draws
-    E[cols, rows] = draws
+    E[rows, cols] = packed
+    E[cols, rows] = packed
     return E
 
 

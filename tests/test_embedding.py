@@ -225,7 +225,7 @@ class TestPackedSymmetric:
         upper = packed.dense(mirror=False)[np.triu_indices(n)]
         assert upper.tobytes() == (M + A)[np.triu_indices(n)].tobytes()
         noise = sample_symmetric_noise(n, 0.3, np.random.default_rng(n))
-        E = oracles.triu_scatter_noise(n, 0.3, np.random.default_rng(n))
+        E = oracles.rfp_noise(n, 0.3, np.random.default_rng(n))
         assert noise.data.tobytes() == oracles.rfp_layout(E).tobytes()
 
     @pytest.mark.parametrize("cblas", [True, False], ids=["cblas", "numpy"])
@@ -247,9 +247,16 @@ class TestPackedSymmetric:
         without_cblas(monkeypatch)
         assert traced_peak(lambda: packed.matvec(v)) <= 0.1 * n * n * 8
 
-    def test_rejects_a_vector_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match="needs 6 float64 values"):
-            PackedSymmetric(3, np.zeros(5))
+    # -2, -3 and 2.0 ask for 1, 3 and 3.0 values, which a length check passes.
+    @pytest.mark.parametrize("n, size, match", [
+        (3, 5, "needs 6 float64 values"),
+        (-2, 1, "non-negative integer"),
+        (-3, 3, "non-negative integer"),
+        (2.0, 3, "non-negative integer"),
+    ])
+    def test_rejects_a_bad_size_or_a_vector_of_the_wrong_length(self, n, size, match):
+        with pytest.raises(ValueError, match=match):
+            PackedSymmetric(n, np.zeros(size))
 
     def test_rejects_values_that_are_not_one_contiguous_array(self):
         # Its blocks are views of it, and BLAS reads it by address.
@@ -513,7 +520,7 @@ class TestTwoEndedPath:
         ends = (tmp_path / "ends.csv").read_text()
         assert ends == (tmp_path / "eigh.csv").read_text()
         first = ends.splitlines()[1].split(",")
-        assert first[9:11] == ["0.375", "0.575820406"]  # error_ase and fnorm
+        assert first[9:11] == ["0.375", "0.557526055"]  # error_ase and fnorm
 
     @pytest.mark.parametrize("excess, kept", [(0, 1.0), (8, 1.0), (16, -1.0)])
     def test_magnitudes_within_n_eps_of_each_other_rank_the_positive_end_first(

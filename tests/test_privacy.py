@@ -1,5 +1,6 @@
 """Noise calibration, symmetric Gaussian perturbation, private embedding."""
 
+import math
 import warnings
 
 import numpy as np
@@ -151,8 +152,15 @@ class TestSampleSymmetricNoise:
     def test_bit_equal_to_whole_triangle_draw_mirrored(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         E = sample_symmetric_noise(n, 0.3, rng).dense()
-        assert E.tobytes() == oracles.triu_scatter_noise(n, 0.3, ref_rng).tobytes()
+        assert E.tobytes() == oracles.rfp_noise(n, 0.3, ref_rng).tobytes()
         assert rng.random() == ref_rng.random()  # same share of the stream used
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_data_is_one_normal_draw_in_storage_order(self, n):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        data = sample_symmetric_noise(n, 0.3, rng).data
+        assert data.tobytes() == ref_rng.normal(0.0, math.sqrt(0.3), n * (n + 1) // 2).tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_peak_memory_is_the_result_matrix(self):
         # The packed triangle, n (n + 1) / 2 float64 values, and nothing more.
@@ -270,7 +278,7 @@ class TestDpAse:
         monkeypatch.setattr(privacy_module, "ase", spy)
         rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
         dp_ase(graph.adjacency, 1, budget, rng)
-        E = oracles.triu_scatter_noise(n, calibrate_noise(n, 1, budget).beta_sq, ref_rng)
+        E = oracles.rfp_noise(n, calibrate_noise(n, 1, budget).beta_sq, ref_rng)
         (packed,) = seen
         assert packed.data.tobytes() == oracles.rfp_layout(graph.adjacency + E).tobytes()
         assert rng.random() == ref_rng.random()  # same share of the stream used

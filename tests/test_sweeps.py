@@ -412,8 +412,10 @@ class TestTrends:
         assert loosest < tightest - 0.05
 
     def test_error_decreases_as_alpha_grows(self):
+        # At n = 150 the three smallest alphas classify at chance, so their
+        # order is a coin flip: about 22 of base seeds 0-59 failed there.
         alphas = [0.02, 0.05, 0.1, 0.3, 1.0]
-        records = run_alpha_tradeoff(sim_source(), 150, 2, alphas, 0.01, 3, 5, 0)
+        records = run_alpha_tradeoff(sim_source(), 300, 2, alphas, 0.01, 3, 5, 0)
         per_alpha = defaultdict(list)
         for r in records:
             per_alpha[r.alpha].append(r.error_dp)
