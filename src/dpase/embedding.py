@@ -24,6 +24,8 @@ the d wanted pairs with packed matrix-vector products. RFP holds two
 triangles and a dense block, each an ordinary strided matrix, so a
 product is four BLAS calls (``dsymv`` and ``dgemv``) split into two
 halves that the calling thread and one helper thread compute at once.
+The same two threads fill the two fixed chunks of a random draw
+(:func:`draw_in_two`).
 All paths order the pairs the same way and fix each
 eigenvector's sign so that its largest-magnitude entry (the first, if
 several tie) is positive, so the embedding's signs do not depend on
@@ -54,7 +56,9 @@ INPUT_SYMMETRY_TOL = 1e-12
 # Below this size one dense solve costs less than loading ARPACK once:
 # a d = 2 ``top_d_eigen`` takes 25-27 ms at n = 999 on the two-ended
 # path, while importing scipy.sparse.linalg after dpase.cli takes
-# 0.09-0.12 s and 30 MB (same machine, scipy 1.17).
+# 0.09-0.12 s and 30 MB (same machine, scipy 1.17). The random draws
+# (:func:`draw_in_two`) take two threads from this size on too, so a
+# smaller run starts no helper thread.
 LANCZOS_MIN_N = 1000
 
 
@@ -228,7 +232,8 @@ def _lower_symv(T: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _Helper:
-    """One daemon thread that runs the second half of each split product.
+    """One daemon thread that runs the second half of each split product
+    or random draw.
 
     The two halves hand off through two raw locks, whose waits block in C
     with the GIL released: ``go`` starts the helper, ``done`` reports back.
@@ -241,7 +246,7 @@ class _Helper:
         self.go.acquire()
         self.done.acquire()
         self.job = self.error = None
-        threading.Thread(target=self._serve, name="dpase-matvec", daemon=True).start()
+        threading.Thread(target=self._serve, name="dpase-split", daemon=True).start()
 
     def _serve(self):
         while True:
@@ -271,13 +276,32 @@ _helper_start = threading.Lock()
 
 
 def _split(first: Callable[[], None], second: Callable[[], None]) -> None:
-    """Run the two halves of a product at once, starting the helper thread
-    at the first call."""
+    """Run the two halves of a product or a draw at once, starting the
+    helper thread at the first call."""
     global _helper
     with _helper_start:
         if _helper is None:
             _helper = _Helper()
     _helper.run(first, second)
+
+
+def draw_in_two(n: int, rng: np.random.Generator,
+                fill: Callable[[np.random.Generator, int], None]) -> None:
+    """Call ``fill(stream, c)`` for the two fixed chunks c = 0, 1 of a random
+    n x n draw, chunk c from child stream c. The children are spawned
+    (``SeedSequence.spawn``) from two integers drawn from ``rng``, so they
+    follow from rng's state alone: deep copies of one stream give the same
+    children. From ``LANCZOS_MIN_N`` on the chunks run at once on the
+    calling and the helper thread (:func:`_split`), below it one after the
+    other; either way chunk c takes child c, so the bits do not depend on
+    the thread or core count."""
+    seeds = np.random.SeedSequence(rng.integers(0, 2**63, size=2)).spawn(2)
+    first, second = (np.random.Generator(np.random.PCG64(seed)) for seed in seeds)
+    chunks = (lambda: fill(first, 0), lambda: fill(second, 1))
+    if n >= LANCZOS_MIN_N:
+        return _split(*chunks)
+    for chunk in chunks:
+        chunk()
 
 
 def _forget_threads() -> None:

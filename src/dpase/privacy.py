@@ -6,9 +6,11 @@ adjacency matrix, and spectrally embed the perturbed matrix. The noise
 matrix is symmetric, so ``sample_symmetric_noise``, the mechanism's only
 noise draw, returns just one triangle, packed
 (:class:`~dpase.embedding.PackedSymmetric`) and filled in its storage
-order by one ``rng.normal`` call; ``dp_ase`` adds the adjacency's upper
-triangle into it in place. Each call is a standalone (alpha, delta)
-release; composition across repeated queries is not accounted for here.
+order as two fixed halves, each from its own child stream of ``rng``
+(on two threads from ``LANCZOS_MIN_N`` on; the bits do not depend on
+the thread count); ``dp_ase`` adds the adjacency's upper triangle into
+it in place. Each call is a standalone (alpha, delta) release;
+composition across repeated queries is not accounted for here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._shared import ParameterRangeError
-from .embedding import PackedSymmetric, ase
+from .embedding import PackedSymmetric, ase, draw_in_two
 from .graphs import validate_adjacency
 
 
@@ -100,18 +102,28 @@ def sample_symmetric_noise(
     One triangle including the diagonal is drawn i.i.d. from
     N(0, beta_sq) and returned packed; its mirror image is the other
     triangle, so every entry keeps variance exactly beta_sq (averaging
-    two independent draws would halve it). One ``rng.normal`` call fills
-    ``.data`` in its own storage order, LAPACK's RFP layout; which draw
-    lands on which entry does not change the distribution. The packed
-    vector, 4 n^2 bytes, is the only large allocation; call ``.dense()``
-    for the full matrix.
+    two independent draws would halve it). ``.data``, in its own storage
+    order (LAPACK's RFP layout), is split at half its size: each half is
+    filled with standard normals from its own child stream of ``rng``
+    (:func:`~dpase.embedding.draw_in_two`) and scaled in place, so the
+    values depend on n and rng alone, never on the thread count. Which
+    draw lands on which entry does not change the distribution. The
+    packed vector, 4 n^2 bytes, is the only large allocation; call
+    ``.dense()`` for the full matrix.
     """
     beta_sq = scale.beta_sq if isinstance(scale, NoiseScale) else float(scale)
     if not 0 < beta_sq < math.inf:
         raise ValueError(f"noise variance must be positive and finite, got {beta_sq}")
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"matrix size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
-    return PackedSymmetric(n, rng.normal(0.0, math.sqrt(beta_sq), n * (n + 1) // 2))
+    noise = PackedSymmetric(n, np.empty(n * (n + 1) // 2))
+    halves = np.split(noise.data, [noise.data.size // 2])
+    sigma = math.sqrt(beta_sq)
+    draw_in_two(n, rng, lambda stream, c: np.multiply(
+        stream.standard_normal(out=halves[c]), sigma, out=halves[c]))
+    return noise
 
 
 def dp_ase(

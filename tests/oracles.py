@@ -6,8 +6,9 @@ of LAPACK, large-matrix eigenpairs from a full dense decomposition
 instead of Lanczos iteration, nearest-neighbor answers from a pure-Python exhaustive sort,
 Procrustes optima from a dense grid over all 2x2 orthogonal maps,
 symmetric random matrices from a whole triangle mirrored after the
-fact (noise unpacked from RFP by LAPACK's ``dtfttp``) instead of row by
-row in place or block by block from the packed layout, and edge lists from a
+fact (noise unpacked from RFP by LAPACK's ``dtfttp``, graphs entry by
+entry from their two chunks' uniforms) instead of in place block by
+block, and edge lists from a
 line-by-line parse into a float64 matrix instead of a vectorized one.
 """
 
@@ -220,15 +221,28 @@ def rfp_layout(M) -> np.ndarray:
     return rfp
 
 
+def child_streams(rng) -> list:
+    """The two child generators of one draw: two integers from ``rng`` seed
+    a ``SeedSequence``, whose two spawned children drive PCG64."""
+    seeds = np.random.SeedSequence(rng.integers(0, 2**63, size=2)).spawn(2)
+    return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+
+
 def rfp_noise(n: int, beta_sq: float, rng) -> np.ndarray:
-    """Symmetric N(0, beta_sq) noise from one draw of a whole triangle
-    (diagonal included) taken as an RFP array (TRANSR = 'N', UPLO = 'L'),
-    unpacked by LAPACK's own ``dtfttp`` into the column-major lower packed
-    vector (which is the row-major upper one), then scattered through
-    index arrays and mirrored."""
+    """Symmetric N(0, beta_sq) noise from a whole triangle (diagonal
+    included) drawn as two halves, the first n (n + 1) / 4 values (rounded
+    down) from child stream 0 and the rest from child stream 1, taken as
+    an RFP array (TRANSR = 'N', UPLO = 'L'), unpacked by LAPACK's own
+    ``dtfttp`` into the column-major lower packed vector (which is the
+    row-major upper one), then scattered through index arrays and
+    mirrored."""
     from scipy.linalg.lapack import dtfttp
 
-    draws = rng.normal(0.0, math.sqrt(beta_sq), size=n * (n + 1) // 2)
+    size = n * (n + 1) // 2
+    sigma = math.sqrt(beta_sq)
+    first, second = child_streams(rng)
+    draws = np.concatenate([first.normal(0.0, sigma, size // 2),
+                            second.normal(0.0, sigma, size - size // 2)])
     packed, info = dtfttp(n, draws, transr="N", uplo="L")
     assert info == 0
     rows, cols = np.triu_indices(n)
@@ -240,13 +254,28 @@ def rfp_noise(n: int, beta_sq: float, rng) -> np.ndarray:
 
 def transpose_sum_sbm(B, pi, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Blockmodel adjacency and 1-based labels: labels from ``pi``, then
-    each row's strict upper triangle from ``B``, symmetrized as U + U^T."""
+    each row's strict upper triangle from ``B``, symmetrized as U + U^T.
+
+    Rows 0 .. n - 2 fall into two chunks: chunk 0 is the longest run of top
+    rows whose strict upper entries number at most n (n - 1) / 4 (rounded
+    down), chunk 1 the rest. Chunk c is drawn from child stream c in
+    blocks of min(32, n // 32) rows (at least one); a block starting at
+    row a is one uniform draw of shape (rows, n - a), whose row r holds
+    the uniforms of columns a .. n - 1 of row a + r."""
     B = np.asarray(B, dtype=float)
     labels = rng.choice(len(pi), size=n, p=pi) + 1
     idx = labels - 1
+    cut, entries = 0, 0
+    while cut < n - 1 and entries + (n - 1 - cut) <= n * (n - 1) // 4:
+        entries += n - 1 - cut
+        cut += 1
+    rows = max(1, min(32, n // 32))
     upper = np.zeros((n, n))
-    for i in range(n - 1):
-        upper[i, i + 1:] = rng.random(n - 1 - i) < B[idx[i], idx[i + 1:]]
+    for stream, (start, stop) in zip(child_streams(rng), [(0, cut), (cut, n - 1)]):
+        for a in range(start, stop, rows):
+            uniforms = stream.random((min(a + rows, stop) - a, n - a))
+            for i in range(a, min(a + rows, stop)):
+                upper[i, i + 1:] = uniforms[i - a, i + 1 - a:] < B[idx[i], idx[i + 1:]]
     return upper + upper.T, labels
 
 

@@ -520,7 +520,7 @@ class TestTwoEndedPath:
         ends = (tmp_path / "ends.csv").read_text()
         assert ends == (tmp_path / "eigh.csv").read_text()
         first = ends.splitlines()[1].split(",")
-        assert first[9:11] == ["0.375", "0.557526055"]  # error_ase and fnorm
+        assert first[9:11] == ["0.541666667", "6.04566475"]  # error_ase and fnorm
 
     @pytest.mark.parametrize("excess, kept", [(0, 1.0), (8, 1.0), (16, -1.0)])
     def test_magnitudes_within_n_eps_of_each_other_rank_the_positive_end_first(
@@ -840,7 +840,7 @@ class TestScipyBlasThreads:
             [sys.executable, "-c", probe], env=env, capture_output=True,
             text=True, check=True,
         )
-        # No helper thread either: only the Lanczos path splits products.
+        # No helper thread either: only Lanczos-size products and draws split.
         assert result.stdout.split()[-3:] == ["0", "False", "1"]
 
 

@@ -35,8 +35,9 @@ DATASET = DatasetSource(sample_sbm(PARAMS, 60, np.random.default_rng(4)))
 
 # name -> (sweep, positional arguments after the source)
 CASES = {
-    # n=3 is too small for leave-one-out with k=3: invalid_cell.
-    "n_sweep_simulated": (run_n_sweep, ([3, 30, 45], 2, 0.5, 0.01, 3, 2, 7)),
+    # n=3 is too small for leave-one-out with k=3: invalid_cell. n=1000
+    # draws its graph and noise on two threads and solves by Lanczos.
+    "n_sweep_simulated": (run_n_sweep, ([3, 30, 45, 1000], 2, 0.5, 0.01, 3, 2, 7)),
     # A dataset of 60 vertices asked for 50: invalid_cell.
     "n_sweep_dataset": (run_n_sweep, ([60, 50], 2, 0.5, 0.01, 3, 2, 8)),
     # delta=2.0 gives d/delta=1: calibration_error, also at alpha=-1;

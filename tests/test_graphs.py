@@ -21,7 +21,7 @@ from dpase import (
     validate_adjacency,
     write_edge_list,
 )
-from dpase import _shared, graphs
+from dpase import _shared, embedding, graphs
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
 PI_TWO_BLOCK = np.array([0.4, 0.6])
@@ -171,7 +171,7 @@ class TestSampleSbm:
         assert np.array_equal(g1.adjacency, g2.adjacency)
         assert np.array_equal(g1.labels, g2.labels)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 300, 513])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 256, 257, 300, 513, 1000, 1001])
     def test_bit_equal_to_upper_triangle_plus_transpose(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         graph = sample_sbm(two_block_params(), n, rng)
@@ -180,6 +180,27 @@ class TestSampleSbm:
         assert graph.adjacency.astype(float).tobytes() == A.tobytes()
         assert np.array_equal(graph.labels, labels)
         assert rng.random() == ref_rng.random()  # same share of the stream used
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_the_helper_thread_and_a_serial_run_give_the_same_bits(self, monkeypatch, n):
+        # Chunk c always takes child stream c, so neither the thread that
+        # fills a chunk nor the order of the two chunks changes a bit.
+        calls, real = [], embedding._split
+        monkeypatch.setattr(embedding, "_split", lambda *halves: (calls.append(1), real(*halves)))
+        threaded = sample_sbm(two_block_params(), n, np.random.default_rng(n))
+        assert calls == [1]
+        for order in (lambda first, second: (first(), second()),
+                      lambda first, second: (second(), first())):
+            monkeypatch.setattr(embedding, "_split", order)
+            serial = sample_sbm(two_block_params(), n, np.random.default_rng(n))
+            assert np.array_equal(serial.adjacency, threaded.adjacency)
+            assert np.array_equal(serial.labels, threaded.labels)
+
+    def test_no_helper_thread_below_the_lanczos_size(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(embedding, "_split", lambda *halves: calls.append(1))
+        sample_sbm(two_block_params(), embedding.LANCZOS_MIN_N - 1, np.random.default_rng(0))
+        assert calls == []
 
     def test_peak_memory_is_about_one_matrix(self):
         n = 400
@@ -194,16 +215,18 @@ class TestSampleSbm:
         labels = sample_block_labels(params, 500, np.random.default_rng(21))
         assert np.array_equal(graph.labels, labels)
 
-    def test_edge_density_matches_mixture(self):
-        # E[density] = pi^T B pi = 0.168 for these parameters; allow
-        # three binomial standard errors over the n(n-1)/2 pairs.
+    def test_edge_count_matches_the_blockmodel_given_the_labels(self):
+        # Given the labels, the edge count is a sum of independent
+        # Bernoulli(B[a, b]) over the vertex pairs; allow three of its
+        # standard deviations. (Against pi^T B pi with only the binomial
+        # error, the label draw's own variance doubles the spread.)
         n = 2000
         graph = sample_sbm(two_block_params(), n, np.random.default_rng(7))
-        pairs = n * (n - 1) / 2
-        density = graph.adjacency.sum() / 2 / pairs
-        expected = float(PI_TWO_BLOCK @ B_TWO_BLOCK @ PI_TWO_BLOCK)
-        stderr = np.sqrt(expected * (1 - expected) / pairs)
-        assert abs(density - expected) < 3 * stderr
+        sizes = np.bincount(graph.labels, minlength=3)[1:]
+        ordered_pairs = np.outer(sizes, sizes) - np.diag(sizes)
+        mean = (ordered_pairs * B_TWO_BLOCK).sum() / 2
+        var = (ordered_pairs * B_TWO_BLOCK * (1 - B_TWO_BLOCK)).sum() / 2
+        assert abs(graph.adjacency.sum() / 2 - mean) < 3 * np.sqrt(var)
 
     def test_block_conditional_densities_match_B(self):
         n = 2000

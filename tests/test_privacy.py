@@ -9,6 +9,7 @@ import scipy.stats
 
 import oracles
 from conftest import traced_peak
+from dpase import embedding
 from dpase import privacy as privacy_module
 from dpase import (
     CalibrationError,
@@ -148,19 +149,57 @@ class TestSampleSymmetricNoise:
         with pytest.raises(ValueError, match="matrix size must be at least 1, got 0"):
             sample_symmetric_noise(0, 0.25, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 300, 513])
-    def test_bit_equal_to_whole_triangle_draw_mirrored(self, n):
+    @pytest.mark.parametrize("n", [2.0, 2.5, np.float64(3.0), "3"])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        # A float size would otherwise reach the generator's own TypeError.
+        with pytest.raises(ValueError, match="matrix size must be an integer"):
+            sample_symmetric_noise(n, 0.25, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 300, 513, 1000])
+    def test_bit_equal_to_two_stream_triangle_draw_mirrored(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         E = sample_symmetric_noise(n, 0.3, rng).dense()
         assert E.tobytes() == oracles.rfp_noise(n, 0.3, ref_rng).tobytes()
         assert rng.random() == ref_rng.random()  # same share of the stream used
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 300])
-    def test_data_is_one_normal_draw_in_storage_order(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 1001])
+    def test_data_is_two_child_draws_in_storage_order(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         data = sample_symmetric_noise(n, 0.3, rng).data
-        assert data.tobytes() == ref_rng.normal(0.0, math.sqrt(0.3), n * (n + 1) // 2).tobytes()
-        assert rng.random() == ref_rng.random()
+        first, second = oracles.child_streams(ref_rng)
+        half = data.size // 2
+        draws = np.concatenate([first.standard_normal(half),
+                                second.standard_normal(data.size - half)])
+        assert data.tobytes() == (draws * math.sqrt(0.3)).tobytes()
+        assert rng.random() == ref_rng.random()  # same share of the stream used
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_the_helper_thread_and_a_serial_run_give_the_same_bits(self, monkeypatch, n):
+        # Chunk c always takes child stream c, so neither the thread that
+        # fills a chunk nor the order of the two chunks changes a bit.
+        calls, real = [], embedding._split
+        monkeypatch.setattr(embedding, "_split", lambda *halves: (calls.append(1), real(*halves)))
+        threaded = sample_symmetric_noise(n, 0.3, np.random.default_rng(n)).data
+        assert calls == [1]
+        for order in (lambda first, second: (first(), second()),
+                      lambda first, second: (second(), first())):
+            monkeypatch.setattr(embedding, "_split", order)
+            serial = sample_symmetric_noise(n, 0.3, np.random.default_rng(n)).data
+            assert serial.tobytes() == threaded.tobytes()
+
+    def test_no_helper_thread_below_the_lanczos_size(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(embedding, "_split", lambda *halves: calls.append(1))
+        sample_symmetric_noise(embedding.LANCZOS_MIN_N - 1, 0.3, np.random.default_rng(0))
+        assert calls == []
+
+    def test_the_two_halves_are_distinct_uncorrelated_draws(self):
+        # A repeated child seed would make one half a copy of the other.
+        data = sample_symmetric_noise(1000, 1.0, np.random.default_rng(30)).data
+        half = data.size // 2
+        first, second = data[:half], data[half:2 * half]
+        assert not np.array_equal(first, second)
+        assert abs(np.corrcoef(first, second)[0, 1]) < 5 / math.sqrt(half)
 
     def test_peak_memory_is_the_result_matrix(self):
         # The packed triangle, n (n + 1) / 2 float64 values, and nothing more.
@@ -263,9 +302,9 @@ class TestDpAse:
         assert calls == [(40, calibrate_noise(40, 2, budget))]
 
     @pytest.mark.parametrize("n", [1, 2, 257])
-    def test_packed_matrix_is_the_whole_triangle_draw_plus_the_graph(self, monkeypatch, n):
+    def test_packed_matrix_is_the_two_stream_draw_plus_the_graph(self, monkeypatch, n):
         # The released matrix reaches ``ase`` as the packed upper triangle
-        # of A + E, with E from the one-shot draw of the whole triangle;
+        # of A + E, with E drawn as two halves from two child streams;
         # every position is compared with LAPACK's RFP layout of it.
         graph = sample_sbm(two_block_params(), n, np.random.default_rng(21))
         budget = PrivacyBudget(0.3, 0.001)
