@@ -322,7 +322,8 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](opts)
     except (ValueError, OSError) as exc:
         print(f"dpase: error: {exc}", file=sys.stderr)
-        return 1
+        # A failed eigensolve is a ValueError too, but not the input's fault.
+        return 3 if isinstance(exc, np.linalg.LinAlgError) else 1
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ from its upper triangle; a bool adjacency is packed straight from its
 one-byte rows, with no n x n float64 copy.
 
 A request for at least half the spectrum takes a full dense symmetric
-decomposition (LAPACK) that is then truncated. Any other comes from one
-of two solvers, chosen by size. Below ``LANCZOS_MIN_N`` rows the matrix
+decomposition (LAPACK) that is then truncated, as does a small one
+where numpy's LAPACK lacks a routine of the two-ended solve; both are
+made in one place, :func:`top_d_eigen`. Any other comes from one of
+two solvers, chosen by size. Below ``LANCZOS_MIN_N`` rows the matrix
 is unpacked and reduced to tridiagonal form once, and bisection and
 inverse iteration on that form find only the d lowest and the d highest
 pairs, among which the d of largest magnitude always lie. Larger
@@ -23,13 +25,14 @@ matrices take ARPACK's restarted Lanczos iteration, which finds only
 the d wanted pairs with packed matrix-vector products. RFP holds two
 triangles and a dense block, each an ordinary strided matrix, so a
 product is four BLAS calls (``dsymv`` and ``dgemv``) split into two
-halves that the calling thread and one helper thread compute at once.
-The same two threads fill the two fixed chunks of a random draw
-(:func:`draw_in_two`).
-All paths order the pairs the same way and fix each
-eigenvector's sign so that its largest-magnitude entry (the first, if
-several tie) is positive, so the embedding's signs do not depend on
-which solver or BLAS build produced it.
+halves that the calling thread and one helper thread compute at once:
+the caller queues the second half for the helper, computes the first
+and waits for the second's outcome on a reply queue of its own
+(:func:`_split`). The same two threads fill the two fixed chunks of a
+random draw (:func:`draw_in_two`). All paths order the pairs the same
+way and fix each eigenvector's sign so that its largest-magnitude entry
+(the first, if several tie) is positive, so the embedding's signs do
+not depend on which solver or BLAS build produced it.
 
 Embeddings are only identified up to an orthogonal transform, so any
 comparison between two embeddings must go through
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -231,58 +235,42 @@ def _lower_symv(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-class _Helper:
-    """One daemon thread that runs the second half of each split product
-    or random draw.
-
-    The two halves hand off through two raw locks, whose waits block in C
-    with the GIL released: ``go`` starts the helper, ``done`` reports back.
-    An exception in the helper's half is kept and raised in the caller.
-    Products from several threads take the helper in turn (``busy``).
-    """
-
-    def __init__(self):
-        self.go, self.done, self.busy = threading.Lock(), threading.Lock(), threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.job = self.error = None
-        threading.Thread(target=self._serve, name="dpase-split", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self.go.acquire()
-            try:
-                self.job()
-            except BaseException as exc:  # raised again in the caller
-                self.error = exc
-            self.done.release()
-
-    def run(self, first: Callable[[], None], second: Callable[[], None]) -> None:
-        """first() on the calling thread and second() on the helper, at once."""
-        with self.busy:
-            self.job, self.error = second, None
-            self.go.release()
-            try:
-                first()
-            finally:
-                self.done.acquire()
-            error = self.error
-        if error is not None:
-            raise error
+# Each job is (second half, reply queue). The one helper thread runs the
+# jobs in turn and puts the half's exception, or None, on the job's own
+# reply queue, so a caller only ever reads the reply to its own half.
+_jobs: queue.SimpleQueue | None = None
+_jobs_start = threading.Lock()
 
 
-_helper: _Helper | None = None
-_helper_start = threading.Lock()
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        second, reply = jobs.get()
+        try:
+            second()
+        except BaseException as exc:  # raised again in the caller
+            reply.put(exc)
+        else:
+            reply.put(None)
 
 
 def _split(first: Callable[[], None], second: Callable[[], None]) -> None:
-    """Run the two halves of a product or a draw at once, starting the
-    helper thread at the first call."""
-    global _helper
-    with _helper_start:
-        if _helper is None:
-            _helper = _Helper()
-    _helper.run(first, second)
+    """first() on the calling thread and second() on the helper thread, at
+    once, starting the helper at the first call. Both waits block in C
+    with the GIL released; an exception in second() is raised in the
+    caller. Calls from several threads queue their halves for the helper."""
+    global _jobs
+    with _jobs_start:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="dpase-split", daemon=True).start()
+    reply = queue.SimpleQueue()
+    _jobs.put((second, reply))
+    try:
+        first()
+    finally:
+        error = reply.get()
+    if error is not None:
+        raise error
 
 
 def draw_in_two(n: int, rng: np.random.Generator,
@@ -306,11 +294,11 @@ def draw_in_two(n: int, rng: np.random.Generator,
 
 def _forget_threads() -> None:
     """In a forked child, which has only the forking thread, drop the
-    parent's helper and locks; the next product starts a new helper. A
+    parent's job queue and locks; the next split starts a new helper. A
     pin held by another of the parent's threads would never end in the
     child, so each held pin's thread count is restored first."""
-    global _helper, _helper_start, _pin_lock
-    _helper, _helper_start, _pin_lock = None, threading.Lock(), threading.Lock()
+    global _jobs, _jobs_start, _pin_lock
+    _jobs, _jobs_start, _pin_lock = None, threading.Lock(), threading.Lock()
     for count, saved, set_threads in _pins.values():
         if count:
             set_threads(saved)
@@ -439,7 +427,8 @@ def _one_blas_thread(found: _OpenBlas | None):
 
     After each threaded call a pool's worker busy-waits, and it then
     competes with the other library's pool, and with the helper thread
-    of the split product, for the cores. A Lanczos solve splits each
+    that runs the second half of each split product or draw
+    (:func:`_split`), for the cores. A Lanczos solve splits each
     product over two threads itself (:meth:`PackedSymmetric.matvec`), and
     a two-ended dense ``top_d_eigen`` at n = 300 and d = 2 takes 1.4 ms of
     wall and CPU time on one thread, where a full ``eigh`` took 3.5-5.2 ms
@@ -504,11 +493,11 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The d lowest and the d highest eigenpairs in ascending order, from
-    numpy's own LAPACK on one thread; all n pairs from ``np.linalg.eigh``
-    if numpy's BLAS does not export the four routines below. Needs
-    2 d < n, so the two ranges do not overlap.
+    numpy's own LAPACK on one thread; None if numpy's BLAS does not export
+    the four routines below. Needs 2 d < n, so the two ranges do not
+    overlap.
 
     ``dsytrd`` reduces the matrix to tridiagonal form once. At each end
     ``dstebz`` finds the d eigenvalues by bisection and ``dstein`` their
@@ -521,7 +510,7 @@ def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     found = _openblas(np.linalg._umath_linalg)
     if found is None or None in (found.dsytrd, found.dstebz, found.dstein, found.dormtr):
-        return np.linalg.eigh(P.dense())
+        return None
     # As dsyevr does, scale a matrix whose largest |entry| lies outside
     # [rmin, rmax] into that range, where no step over- or underflows,
     # and scale the eigenvalues back.
@@ -604,13 +593,11 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     if not 1 <= d <= n:
         raise ParameterRangeError(f"embedding dimension must satisfy 1 <= d <= {n}, got {d}")
     # Only 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach,
-    # and the two ends of the spectrum apart.
-    if 2 * d >= n:
-        w, V = np.linalg.eigh(P.dense())
-    elif n >= LANCZOS_MIN_N:
-        w, V = _lanczos(P, d)
-    else:
-        w, V = _two_ends(P, d)
+    # and the two ends of the spectrum apart. The one full eigh is here.
+    pairs = None
+    if 2 * d < n:
+        pairs = _lanczos(P, d) if n >= LANCZOS_MIN_N else _two_ends(P, d)
+    w, V = np.linalg.eigh(P.dense()) if pairs is None else pairs
     tie = n * np.finfo(float).eps * np.abs(w).max()
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]) - tie * (w[i] > 0), w[i] < 0, i))[:d]
     return EigenPairs(values=w[order], vectors=_fix_signs(V[:, order]))

@@ -19,6 +19,7 @@ ids are remapped to contiguous 1..K in order of first appearance.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -207,10 +208,9 @@ def _data_lines(path, what: str):
         raise EdgeListError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _parse_edge_lines(path) -> tuple[np.ndarray, list[int]]:
-    """The (m, 2) int64 ids of an edge list and the line number of each row,
-    read line by line; the first bad line raises ``EdgeListError``."""
-    linenos: list[int] = []
+def _parse_edge_lines(path) -> np.ndarray:
+    """The (m, 2) int64 ids of an edge list, read line by line; the first
+    bad line raises ``EdgeListError``."""
     pairs: list[int] = []
     for lineno, line in _data_lines(path, "edge list"):
         tokens = line.split()
@@ -222,9 +222,8 @@ def _parse_edge_lines(path) -> tuple[np.ndarray, list[int]]:
         u, v = (min(_parse_id(token, lineno, str(path)), _ID_CAP) for token in tokens)
         if u < 0 or v < 0:
             raise EdgeListError(f"{path}:{lineno}: negative vertex id")
-        linenos.append(lineno)
         pairs += (u, v)
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2), linenos
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _comments_start_lines(data: bytes) -> bool:
@@ -277,9 +276,9 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     """
     if n_hint is not None and n_hint < 0:
         raise EdgeListError(f"{path}: vertex-count hint must be nonnegative, got {n_hint}")
-    ids, linenos = _load_edge_ids(path), None
+    ids = _load_edge_ids(path)
     if ids is None:
-        ids, linenos = _parse_edge_lines(path)
+        ids = _parse_edge_lines(path)
     if not len(ids):
         if n_hint is None:
             raise EdgeListError(f"{path}: no edges and no vertex-count hint")
@@ -297,11 +296,9 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
     A = np.zeros((n, n), dtype=bool)
     outside = np.flatnonzero((ids >= n).any(axis=1))
     if outside.size:
-        if linenos is None:  # the vectorized pass keeps no line numbers
-            linenos = _parse_edge_lines(path)[1]
-        raise EdgeListError(
-            f"{path}:{linenos[outside[0]]}: vertex id exceeds declared count {n}"
-        )
+        # Row r of ids is the r-th data line on both parse paths.
+        lineno, _ = next(itertools.islice(_data_lines(path, "edge list"), outside[0], None))
+        raise EdgeListError(f"{path}:{lineno}: vertex id exceeds declared count {n}")
     u, v = ids.T
     A[u, v] = A[v, u] = u != v
     self_loops = np.count_nonzero(u == v)

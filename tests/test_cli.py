@@ -225,7 +225,7 @@ class TestEmbedAndClassify:
         assert code == 1
         assert "--delta" in capsys.readouterr().err
 
-    def test_embed_exits_1_when_the_eigensolver_does_not_converge(
+    def test_embed_exits_3_when_the_eigensolver_does_not_converge(
         self, tmp_path, capsys, monkeypatch
     ):
         def stuck(*args, **kwargs):
@@ -235,8 +235,8 @@ class TestEmbedAndClassify:
         edges, _, _ = write_fixture_graph(tmp_path, n=1000)
         out = tmp_path / "x.csv"
         assert main(["embed", "--edge-list", str(edges), "--dim", "2",
-                     "--out", str(out)]) == 1
-        assert "did not converge" in capsys.readouterr().err
+                     "--out", str(out)]) == 3
+        assert "dpase: error: Lanczos eigensolver did not converge" in capsys.readouterr().err
         assert not out.exists()
 
     def test_embed_rejects_a_negative_n_hint(self, tmp_path, capsys):

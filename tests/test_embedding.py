@@ -869,7 +869,7 @@ class TestSplitProduct:
             params = SbmParams(B=np.array([[0.3, 0.1], [0.1, 0.2]]), pi=[0.4, 0.6])
             A = sample_sbm(params, 1000, np.random.default_rng(40)).adjacency
             first = top_d_eigen(A, 2)
-            parents = embedding._helper
+            parents = embedding._jobs
             assert parents is not None
             pid = os.fork()
             if pid == 0:
@@ -877,12 +877,38 @@ class TestSplitProduct:
                 again = top_d_eigen(A, 2)
                 same = (np.array_equal(again.values, first.values)
                         and np.array_equal(again.vectors, first.vectors))
-                os._exit(0 if same and embedding._helper not in (None, parents) else 1)
+                os._exit(0 if same and embedding._jobs not in (None, parents) else 1)
             print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         """)
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                 text=True, timeout=120)
         assert result.stdout.split() == ["0"], result.stderr
+
+    def test_a_split_after_an_interrupted_wait_waits_for_its_own_half(self):
+        # Ctrl-C while the caller waits for the helper's half must not
+        # leave a reply behind that a later split takes for its own: that
+        # split would return while its second half is still to run. The
+        # alarm ends a hung run by itself.
+        src = Path(dpase.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        script = textwrap.dedent("""
+            import signal, threading, time
+            from dpase import embedding
+            signal.alarm(60)
+            embedding._split(lambda: None, lambda: None)  # the helper is running
+            main = threading.main_thread().ident
+            threading.Timer(0.1, signal.pthread_kill, (main, signal.SIGINT)).start()
+            try:
+                embedding._split(lambda: None, lambda: time.sleep(0.5))
+                print("not interrupted")
+            except KeyboardInterrupt:
+                finished = []
+                embedding._split(lambda: None, lambda: (time.sleep(0.1), finished.append(1)))
+                print("finished" if finished else "NOT finished")
+        """)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.stdout.split() == ["finished"], result.stderr
 
     def test_a_child_forked_while_another_thread_holds_a_pin_restores_the_count(self):
         # The holding thread does not exist in the child, so its pin would

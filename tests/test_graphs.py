@@ -324,6 +324,22 @@ class TestEdgeListIO:
         with pytest.raises(EdgeListError, match=message):
             load_edge_list(path, n_hint=3)
 
+    @pytest.mark.parametrize("last, loop_calls", [
+        ("1 2\n", 0),  # all int64: the vectorized pass
+        ("0 99999999999999999999\n", 1),  # an id past int64: the line loop
+    ])
+    def test_the_reported_number_is_the_file_line_after_comments_and_blanks(
+        self, tmp_path, monkeypatch, last, loop_calls
+    ):
+        path = tmp_path / "commented.txt"
+        path.write_text("# header\n\n0 1\n   \n# another\n\n0 9\n" + last)
+        calls, real = [], graphs._parse_edge_lines
+        monkeypatch.setattr(graphs, "_parse_edge_lines", lambda p: calls.append(1) or real(p))
+        message = r"commented\.txt:7: vertex id exceeds declared count 3$"
+        with pytest.raises(EdgeListError, match=message):
+            load_edge_list(path, n_hint=3)
+        assert len(calls) == loop_calls
+
     def test_id_past_int64_is_out_of_range(self, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text("0 1\n0 99999999999999999999\n")
