@@ -21,8 +21,9 @@ two solvers, chosen by size. Below ``LANCZOS_MIN_N`` rows the matrix
 is unpacked and reduced to tridiagonal form once, and bisection and
 inverse iteration on that form find only the d lowest and the d highest
 pairs, among which the d of largest magnitude always lie. Larger
-matrices take ARPACK's restarted Lanczos iteration, which finds only
-the d wanted pairs with packed matrix-vector products. RFP holds two
+matrices take a thick-restart Lanczos iteration (:func:`_lanczos`),
+which finds only the d wanted pairs with packed matrix-vector products
+and numpy's own BLAS, so no path loads scipy. RFP holds two
 triangles and a dense block, each an ordinary strided matrix, so a
 product is four BLAS calls (``dsymv`` and ``dgemv``) split into two
 halves that the calling thread and one helper thread compute at once:
@@ -42,6 +43,7 @@ comparison between two embeddings must go through
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import queue
 import threading
@@ -57,13 +59,17 @@ from ._shared import (
 )
 
 INPUT_SYMMETRY_TOL = 1e-12
-# Below this size one dense solve costs less than loading ARPACK once:
-# a d = 2 ``top_d_eigen`` takes 25-27 ms at n = 999 on the two-ended
-# path, while importing scipy.sparse.linalg after dpase.cli takes
-# 0.09-0.12 s and 30 MB (same machine, scipy 1.17). The random draws
-# (:func:`draw_in_two`) take two threads from this size on too, so a
-# smaller run starts no helper thread.
+# From this size on the Lanczos solver runs. On a 2-core x86-64 machine,
+# plain and private (alpha = 0.1) blockmodel matrices, wall / CPU ms per
+# solve, two-ended -> Lanczos: at d = 10, 27 / 27 -> 32-40 / 43-52 at
+# n = 700 and 76-78 / 76-78 -> 54-65 / 83-94 at n = 1000. At d = 2 the
+# Lanczos solve is already faster at n = 500 (8.3 / 8.3 -> 3.4-6.8 /
+# 3.4-8.7). The random draws (:func:`draw_in_two`) take two threads
+# from this size on too, so a smaller run starts no helper thread.
 LANCZOS_MIN_N = 1000
+# A Lanczos solve that has not converged after this many products per row
+# raises np.linalg.LinAlgError.
+_PRODUCTS_PER_ROW = 10
 
 
 @dataclass(frozen=True)
@@ -364,13 +370,12 @@ def _openblas(module) -> _OpenBlas | None:
     """The OpenBLAS that the extension module links, or None if it links
     no OpenBLAS that exports its thread count.
 
-    numpy's and scipy's wheels each bundle their own OpenBLAS, each with
-    its own thread pool. Looking the symbols up through the handle of an
-    extension module (``dlsym`` searches an object and then what it
-    links) finds the copy that module calls, wherever it is installed:
-    ``scipy.linalg._fblas`` reaches scipy's, which ARPACK links too, and
-    ``numpy.linalg._umath_linalg`` reaches numpy's. A ``64_`` suffix
-    marks a 64-bit integer (ILP64) build.
+    A wheel bundles its own OpenBLAS, with its own thread pool, and may
+    prefix its symbols (numpy's wheels use ``scipy_``). Looking the
+    symbols up through the handle of an extension module (``dlsym``
+    searches an object and then what it links) finds the copy that module
+    calls, wherever it is installed: ``numpy.linalg._umath_linalg``
+    reaches numpy's. A ``64_`` suffix marks a 64-bit integer (ILP64) build.
     """
     lib = ctypes.CDLL(module.__file__)
     for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
@@ -381,21 +386,19 @@ def _openblas(module) -> _OpenBlas | None:
             set_.argtypes, set_.restype = [ctypes.c_int], None
             k = ctypes.c_int64 if suffix else ctypes.c_int32
             # i: the layout or a CBLAS flag, c: a flag, k: a LAPACK integer,
-            # r: a double, m: a LAPACK integer passed by reference, p and q:
-            # contiguous arrays of doubles and of LAPACK integers, a: the
-            # address of a double, for a block inside a larger array.
-            i, c, r, m = ctypes.c_int, ctypes.c_char, ctypes.c_double, ctypes.POINTER(k)
-            p, q = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (float, k))
-            a = ctypes.c_void_p
+            # r: a double, a: the address of a contiguous array (of doubles
+            # or of LAPACK integers) or of one LAPACK integer. An address
+            # skips the per-call checks of an ``ndpointer`` argument.
+            i, c, r, a = ctypes.c_int, ctypes.c_char, ctypes.c_double, ctypes.c_void_p
             signatures = {  # each LAPACKE routine returns info, CBLAS nothing
                 # (layout, uplo, n, a, lda, d, e, tau)
-                "dsytrd": [i, c, k, p, k, p, p, p],
+                "dsytrd": [i, c, k, a, k, a, a, a],
                 # (range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit)
-                "dstebz": [c, c, k, r, r, k, k, r, p, p, m, m, p, q, q],
+                "dstebz": [c, c, k, r, r, k, k, r, a, a, a, a, a, a, a],
                 # (layout, n, d, e, m, w, iblock, isplit, z, ldz, ifail)
-                "dstein": [i, k, p, p, k, p, q, q, p, k, q],
+                "dstein": [i, k, a, a, k, a, a, a, a, k, a],
                 # (layout, side, uplo, trans, m, n, a, lda, tau, c, ldc)
-                "dormtr": [i, c, c, c, k, k, p, k, p, p, k],
+                "dormtr": [i, c, c, c, k, k, a, k, a, a, k],
                 # (layout, uplo, n, alpha, a, lda, x, incx, beta, y, incy)
                 "dsymv": [i, i, k, r, a, k, a, k, r, a, k],
                 # (layout, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
@@ -426,10 +429,10 @@ def _one_blas_thread(found: _OpenBlas | None):
     nothing if none was found.
 
     After each threaded call a pool's worker busy-waits, and it then
-    competes with the other library's pool, and with the helper thread
-    that runs the second half of each split product or draw
-    (:func:`_split`), for the cores. A Lanczos solve splits each
-    product over two threads itself (:meth:`PackedSymmetric.matvec`), and
+    competes with the helper thread that runs the second half of each
+    split product or draw (:func:`_split`), and with the caller's next
+    calls, for the cores. A Lanczos solve splits each product over two
+    threads itself (:meth:`PackedSymmetric.matvec`), and
     a two-ended dense ``top_d_eigen`` at n = 300 and d = 2 takes 1.4 ms of
     wall and CPU time on one thread, where a full ``eigh`` took 3.5-5.2 ms
     of wall and 7.4-9.2 ms of CPU time on two. The count is process-wide,
@@ -455,42 +458,118 @@ def _one_blas_thread(found: _OpenBlas | None):
 
 
 def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d eigenpairs of largest magnitude from ARPACK, to machine precision.
+    """The d eigenpairs of largest magnitude, in ascending order, from a
+    thick-restart Lanczos iteration (Wu & Simon 2000; Krylov-Schur with
+    block size 1, Stewart 2002) on packed products, to machine precision.
 
-    ARPACK's own BLAS calls (scipy's OpenBLAS) and the packed products
-    (numpy's) both run with their pool pinned to one thread; each product
-    is split over the calling thread and one helper thread instead, which
-    nearly halves its wall time from n = 2000 on. The pin also keeps the
-    products' rounding independent of the pool's size. The start vector
-    comes from its own fixed-seed generator, so results are reproducible
-    and no caller's random stream is touched. The
-    Krylov basis holds ``ncv = max(20, min(4 d, 2 d + 20))`` vectors
-    (at most n). Past the K signal pairs of a blockmodel the wanted
-    pairs sit in a tight cluster at the edge of the noise bulk, and
-    ARPACK's default ``max(20, 2 d + 1)`` restarts many times on it: on
-    a seed-7 n = 2000 blockmodel graph a plain d = 10 solve took 1108
-    products at ncv = 21 and 417 at 40. At d = 50 the cap, 120, takes
-    about as many products as the default 101 (475-489 on three graphs)
-    and a larger basis takes more (570 at 200). For d <= 5 the rule
-    gives the default 20.
+    The basis V (one row per vector) and the projection S = V M V^T
+    satisfy M V[:m]^T = V[:m]^T S + V[m]^T b^T: S is tridiagonal past
+    the Ritz pairs kept at the last restart, which sit on its diagonal
+    with their couplings to V[m] in b. Each step multiplies the newest
+    vector, orthogonalizes the product against the whole basis by
+    classical Gram-Schmidt with ARPACK's DGKS refinement (another pass
+    while a pass leaves less than 0.717 of the norm it started with; after
+    three, the basis spans an invariant subspace and a fresh random
+    direction continues it), and appends it. A Ritz pair (theta, y) of
+    the active part of S has residual norm |b . y|, and counts as
+    converged by ARPACK's test for ``tol=0``: |b . y| <= u max(u^(2/3),
+    |theta|) with u = eps / 2. A full basis restarts from the Ritz pairs
+    of largest magnitude, as many as ARPACK's ``dsaup2`` keeps: d plus
+    min(converged, (ncv - d) / 2). The converged ones among them are
+    locked: they move to the front with their couplings set to 0, so no
+    later step or test touches them again. Without locking, two d = 50
+    solves at n = 2000 took 620-687 products instead of 479-482.
+
+    The test runs at the end of each cycle and, inside one, once the
+    products since the last test reach 2048 s^3 / n^2 for s active pairs:
+    a product costs about n^2 and the test's small eigensolve about s^3.
+    A d = 2 solve then tests every few products at n = 2000 (it stops
+    after 22 products, where a cycle-end test stops after 37), and a
+    d >= 10 solve about once a cycle, where more tests would cost more
+    than the products they save.
+
+    The basis holds ``ncv = max(20, min(4 d, 2 d + 20))`` vectors (at
+    most n). Past the K signal pairs of a blockmodel the wanted pairs sit
+    in a tight cluster at the edge of the noise bulk, and a basis of
+    ``max(20, 2 d + 1)`` restarts many times on it: on a seed-7 n = 2000
+    blockmodel graph a plain d = 10 solve took 1108 products at ncv = 21
+    and 417 at 40 with ARPACK (345 at 40 here). At d = 50 the cap, 120,
+    took about as many ARPACK products as 101 (475-489 on three graphs)
+    and a larger basis took more (570 at 200). For d <= 5 the rule gives
+    20.
+
+    numpy's OpenBLAS is pinned to one thread for the whole solve, so the
+    basis operations and the small eigensolves round the same way on any
+    pool size; each product is split over the calling thread and one
+    helper thread instead (:meth:`PackedSymmetric.matvec`), which nearly
+    halves its wall time from n = 2000 on. The start vector, and any fresh
+    direction, come from one fixed-seed generator, so results are
+    reproducible and no caller's random stream is touched. A solve that
+    has not converged after ``_PRODUCTS_PER_ROW`` n products raises
+    ``np.linalg.LinAlgError``.
     """
-    # Imported here so that runs which never reach this path do not pay
-    # scipy's import time and memory.
-    from scipy.linalg import _fblas
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     n = P.n
-    op = LinearOperator((n, n), matvec=P.matvec, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        with _one_blas_thread(_openblas(_fblas)), \
-                _one_blas_thread(_openblas(np.linalg._umath_linalg)):
-            return eigsh(op, k=d, which="LM", v0=v0, tol=0.0, maxiter=10 * n,
-                         ncv=min(n, max(20, min(4 * d, 2 * d + 20))))
-    except ArpackNoConvergence as exc:
-        raise np.linalg.LinAlgError(
-            f"Lanczos eigensolver did not converge for d={d} at n={n}: {exc}"
-        ) from exc
+    ncv = min(n, max(20, min(4 * d, 2 * d + 20)))
+    u = np.finfo(float).eps / 2
+    rng = np.random.default_rng(0)
+    V, S, b = np.empty((ncv + 1, n)), np.zeros((ncv, ncv)), np.zeros(ncv)
+    V[0] = rng.standard_normal(n)
+    V[0] /= np.linalg.norm(V[0])
+    m = locked = products = since = converged = 0  # V[:locked]: the locked Ritz vectors
+    with _one_blas_thread(_openblas(np.linalg._umath_linalg)):
+        while True:
+            if products >= _PRODUCTS_PER_ROW * n:
+                raise np.linalg.LinAlgError(
+                    f"Lanczos eigensolver did not converge for d={d} at n={n}: "
+                    f"{converged} of {d} pairs after {products} products"
+                )
+            basis, w = V[:m + 1], P.matvec(V[m])
+            products, since = products + 1, since + 1
+            alpha, norm = 0.0, math.sqrt(w @ w)
+            for _ in range(3):
+                step = basis @ w
+                w -= step @ basis
+                alpha += step[m]
+                before, norm = norm, math.sqrt(w @ w)
+                if norm > 0.717 * before:
+                    break
+            else:  # an invariant subspace: continue from a fresh direction
+                w, norm = rng.standard_normal(n), 0.0
+                for _ in range(2):
+                    w -= (basis @ w) @ basis
+            S[m, :m] = S[:m, m] = b[:m]
+            S[m, m], b[:m], b[m] = alpha, 0.0, norm
+            np.divide(w, norm or math.sqrt(w @ w), out=V[m + 1])
+            m += 1
+            active = m - locked
+            if m < ncv and since * n * n < 2048 * active**3:
+                continue
+            since = 0
+            theta, Y = np.linalg.eigh(S[locked:m, locked:m])
+            done = np.abs(b[locked:m] @ Y) <= u * np.maximum(u ** (2 / 3), np.abs(theta))
+            values = np.concatenate((S.diagonal()[:locked], theta))
+            done = np.concatenate((np.ones(locked, dtype=bool), done))
+            order = np.argsort(-np.abs(values), kind="stable")
+            converged = int(np.count_nonzero(done[order[:d]]))
+            if converged == d or m == ncv:
+                # Column i maps the basis to the Ritz vector of values[i].
+                Q = np.zeros((m, m))
+                Q[:locked, :locked] = np.eye(locked)
+                Q[locked:, locked:] = Y
+            if converged == d:
+                wanted = order[:d][np.argsort(values[order[:d]], kind="stable")]
+                return values[wanted], V[:m].T @ Q[:, wanted]
+            if m < ncv:
+                continue
+            kept = order[:d + min(converged, (ncv - d) // 2)]
+            kept = kept[np.argsort(~done[kept], kind="stable")]  # converged first
+            keep, locked = len(kept), int(np.count_nonzero(done[kept]))
+            coupling = b[:m] @ Q[:, kept[locked:]]
+            S[:], b[:] = 0.0, 0.0
+            S[range(keep), range(keep)] = values[kept]
+            b[locked:keep] = coupling
+            V[:keep], V[keep] = Q[:, kept].T @ V[:m], V[m]
+            m = keep
 
 
 def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -528,6 +607,11 @@ def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray] | Non
     Z = np.empty((2 * d, n))
     iblock, isplit, ifail = np.zeros((3, n), dtype=integer)
     m, nsplit = integer(), integer()
+    # Every array is C-contiguous and goes by address; each end's w and Z
+    # start one row further on.
+    at_M, at_d, at_e, at_tau, at_w, at_Z, at_block, at_split, at_fail = (
+        x.ctypes.data for x in (M, diagonal, off, tau, w, Z, iblock, isplit, ifail))
+    at_m, at_nsplit = ctypes.addressof(m), ctypes.addressof(nsplit)
 
     def check(step: str, info: int, pairs: str, failed: str = "") -> None:
         if info != 0 or failed:
@@ -537,18 +621,19 @@ def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray] | Non
 
     with _one_blas_thread(found):
         both = f"1..{d} and {n - d + 1}..{n}"
-        check("dsytrd", found.dsytrd(102, b"L", n, M, n, diagonal, off, tau), both)
+        check("dsytrd", found.dsytrd(102, b"L", n, at_M, n, at_d, at_e, at_tau), both)
         for half, first in enumerate((1, n - d + 1)):
             pairs = f"{first}..{first + d - 1}"
-            info = found.dstebz(b"I", b"B", n, 0.0, 0.0, first, first + d - 1, 0.0, diagonal,
-                                off, ctypes.byref(m), ctypes.byref(nsplit), w[half], iblock,
-                                isplit)
+            ends = at_w + half * w.strides[0]
+            info = found.dstebz(b"I", b"B", n, 0.0, 0.0, first, first + d - 1, 0.0, at_d, at_e,
+                                at_m, at_nsplit, ends, at_block, at_split)
             check("dstebz", info, pairs, "" if m.value == d else f", {m.value} pairs")
-            info = found.dstein(102, n, diagonal, off, d, w[half], iblock, isplit,
-                                Z[half * d:], n, ifail)
+            info = found.dstein(102, n, at_d, at_e, d, ends, at_block, at_split,
+                                at_Z + half * d * Z.strides[0], n, at_fail)
             failed = ifail[:d][ifail[:d] != 0]
             check("dstein", info, pairs, f", unconverged {failed}" if failed.size else "")
-        check("dormtr", found.dormtr(102, b"L", b"L", b"N", n, 2 * d, M, n, tau, Z, n), both)
+        check("dormtr", found.dormtr(102, b"L", b"L", b"N", n, 2 * d, at_M, n, at_tau, at_Z, n),
+              both)
     # dstebz lists the eigenvalues of each block of a split tridiagonal
     # matrix in turn; sort them, as dsyevr does.
     w = np.concatenate((w[0, :d], w[1, :d])) * (1 / sigma)
@@ -567,10 +652,10 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
 
     M is a square array or a :class:`PackedSymmetric`. With ``2 d >= n``
     the matrix is unpacked and a full dense symmetric decomposition is
-    truncated. Otherwise, with ``n >= LANCZOS_MIN_N`` ARPACK's Lanczos
-    solver computes just the d pairs from packed mat-vecs, and below it
-    the matrix is unpacked and LAPACK finds only the d lowest and the d
-    highest pairs (a full decomposition if numpy's LAPACK lacks one of
+    truncated. Otherwise, with ``n >= LANCZOS_MIN_N`` a thick-restart
+    Lanczos solver computes just the d pairs from packed mat-vecs, and
+    below it the matrix is unpacked and LAPACK finds only the d lowest and
+    the d highest pairs (a full decomposition if numpy's LAPACK lacks one of
     the routines). Ties in magnitude rank the positive eigenvalue first,
     then fall back to ascending position among the solver's ascending
     eigenvalues, so results are deterministic. Magnitudes within n eps max|w| of each other count as
@@ -592,7 +677,7 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     n = P.n
     if not 1 <= d <= n:
         raise ParameterRangeError(f"embedding dimension must satisfy 1 <= d <= {n}, got {d}")
-    # Only 2 d < n keeps ARPACK's k < n and ncv <= n limits out of reach,
+    # Only 2 d < n keeps the Lanczos basis (ncv <= n) beyond the d pairs,
     # and the two ends of the spectrum apart. The one full eigh is here.
     pairs = None
     if 2 * d < n:

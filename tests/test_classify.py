@@ -17,7 +17,7 @@ from dpase import (
     loocv_error,
     sample_sbm,
 )
-from dpase import _shared, classify
+from dpase import _shared, classify, embedding
 
 # Hand-enumerated 10-point fixture. With k=1 only point 9 is classified
 # correctly (its nearest neighbor is point 1 at squared distance 1);
@@ -347,3 +347,28 @@ class TestSweepWork:
         points = rng.normal(size=(2000, 50))
         labels = rng.integers(1, 3, size=2000)
         assert self.entries(monkeypatch, points, labels) <= 0.15
+
+    def test_the_gram_filter_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        # numpy's pool is set to 2 threads, so a count left at 1 shows.
+        found = embedding._openblas(np.linalg._umath_linalg)
+        if found is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
+        seen = []
+        keep = classify._gram_keep
+
+        def spy(*args):
+            seen.append(found.get_threads())
+            return keep(*args)
+
+        monkeypatch.setattr(classify, "_gram_keep", spy)
+        rng = np.random.default_rng(12)
+        points, labels = rng.normal(size=(300, 10)), rng.integers(1, 3, size=300)
+        before = found.get_threads()
+        found.set_threads(2)
+        try:
+            report = loocv_error(points, labels, 3)
+            assert seen and set(seen) == {1}
+            assert found.get_threads() == 2
+        finally:
+            found.set_threads(before)
+        assert report.error_rate == oracles.brute_loocv_error(points, labels, 3)

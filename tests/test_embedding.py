@@ -1,6 +1,7 @@
 """Eigendecomposition, spectral embedding, and Procrustes alignment."""
 
 import contextlib
+import ctypes
 import os
 import subprocess
 import sys
@@ -11,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.linalg import _fblas
 
 import dpase
 import oracles
@@ -40,6 +39,7 @@ from dpase.embedding import (
 )
 
 B_TWO_BLOCK = np.array([[0.3, 0.1], [0.1, 0.2]])
+SBM_FLAGS = ["--B", "0.3,0.1,0.1,0.2", "--pi", "0.4,0.6"]
 # roots of the characteristic polynomial of B_TWO_BLOCK (quadratic formula)
 B_EIGS = (0.3618033988749895, 0.13819660112501048)
 
@@ -285,17 +285,31 @@ class TestPackedSymmetric:
         assert peak <= 0.65 * n * n * 8
 
 
-def count_eigsh_calls(monkeypatch) -> list:
-    """Route scipy's eigsh through a spy; the returned list grows per call."""
+def count_lanczos_calls(monkeypatch) -> list:
+    """Route the Lanczos solver through a spy; the returned list gets each
+    call's d."""
     calls = []
-    real = scipy.sparse.linalg.eigsh
+    real = embedding._lanczos
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
+    def spy(P, d):
+        calls.append(d)
+        return real(P, d)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    monkeypatch.setattr(embedding, "_lanczos", spy)
     return calls
+
+
+def count_products(monkeypatch) -> list:
+    """Count packed products; the returned list grows by one per product."""
+    products = []
+    matvec = PackedSymmetric.matvec
+
+    def counting(self, v):
+        products.append(1)
+        return matvec(self, v)
+
+    monkeypatch.setattr(PackedSymmetric, "matvec", counting)
+    return products
 
 
 def assert_sign_rule(vectors: np.ndarray) -> None:
@@ -320,7 +334,7 @@ class TestLanczosPath:
     @pytest.mark.parametrize("d", [1, 2, 10])
     def test_matches_dense_reference_entrywise(self, monkeypatch, lanczos_case, d):
         M, (ref_values, ref_vectors) = lanczos_case
-        calls = count_eigsh_calls(monkeypatch)
+        calls = count_lanczos_calls(monkeypatch)
         pairs = top_d_eigen(M, d)
         assert len(calls) == 1
         scale = abs(ref_values[0])
@@ -331,7 +345,7 @@ class TestLanczosPath:
 
     def test_sign_rule_on_both_paths(self, monkeypatch, lanczos_case):
         M, _ = lanczos_case
-        calls = count_eigsh_calls(monkeypatch)
+        calls = count_lanczos_calls(monkeypatch)
         assert_sign_rule(top_d_eigen(M, 10).vectors)
         assert len(calls) == 1
         small = random_symmetric(300, np.random.default_rng(42))
@@ -352,38 +366,50 @@ class TestLanczosPath:
     def test_dense_path_below_threshold_or_for_half_the_spectrum(
         self, monkeypatch, n, d, lanczos
     ):
-        calls = count_eigsh_calls(monkeypatch)
+        calls = count_lanczos_calls(monkeypatch)
         top_d_eigen(random_symmetric(n, np.random.default_rng(43)), d)
         assert len(calls) == int(lanczos)
 
     def test_basis_rule_cuts_products_past_the_blocks_and_keeps_d2(self, monkeypatch):
-        # Spied at the packed product, one call per ARPACK mat-vec. At
-        # ncv = 21 the d = 10 solve took 1108; d = 2 keeps the default 20.
+        # ARPACK took 1108 products for d = 10 at ncv = 21 and 350 at 40;
+        # d = 2 keeps ncv = 20 and converges in the second cycle.
         graph = sample_sbm(SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6]), 2000,
                            np.random.default_rng(7))
-        products = []
-        matvec = PackedSymmetric.matvec
-
-        def counting(self, v):
-            products.append(1)
-            return matvec(self, v)
-
-        monkeypatch.setattr(PackedSymmetric, "matvec", counting)
+        products = count_products(monkeypatch)
         top_d_eigen(graph.adjacency, 10)
-        assert len(products) <= 600
+        assert len(products) <= 400
         products.clear()
         top_d_eigen(graph.adjacency, 2)
-        assert len(products) == 21
+        assert len(products) == 22
 
     def test_non_convergence_raises_linalg_error(self, monkeypatch, lanczos_case):
         M, _ = lanczos_case
-
-        def stuck(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        monkeypatch.setattr(embedding, "_PRODUCTS_PER_ROW", 0.01)
+        message = r"did not converge for d=2 at n=1000: 0 of 2 pairs after 10 products"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
             top_d_eigen(M, 2)
+
+    def test_locking_keeps_d50_on_the_dense_reference(self, monkeypatch):
+        # Without locking this solve took 620 products instead of 482: the
+        # converged pairs kept moving. Past the two signal pairs the wanted pairs
+        # lie in the noise bulk, so the vectors carry the residual over
+        # small gaps (1e-13 from the reference here).
+        n, d = 2000, 50
+        A = sample_sbm(SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6]), n,
+                       np.random.default_rng(7)).adjacency
+        M = sample_symmetric_noise(n, calibrate_noise(n, d, PrivacyBudget(0.1, 0.01)),
+                                   np.random.default_rng(100))
+        M.add(A)
+        ref_values, ref_vectors = oracles.dense_top_d(M.dense(), d)
+        products = count_products(monkeypatch)
+        pairs = top_d_eigen(M, d)
+        assert len(products) <= 600
+        scale = abs(ref_values[0])
+        assert np.abs(pairs.values - ref_values).max() <= 1e-12 * scale
+        assert np.abs(pairs.vectors - ref_vectors).max() <= 1e-10
+        assert np.abs(pairs.vectors.T @ pairs.vectors - np.eye(d)).max() <= 1e-12
+        residual = M.dense() @ pairs.vectors - pairs.vectors * pairs.values
+        assert np.abs(residual).max() <= 1e-13 * scale
 
     def test_importing_the_cli_leaves_scipy_sparse_unloaded(self):
         src = Path(dpase.__file__).resolve().parents[1]
@@ -588,8 +614,8 @@ class TestTwoEndedPath:
             return out
 
         def spy(name, real, *args):
-            w = args[5]
-            seen.append((w.shape, bool(np.isfinite(w).all())))
+            w = np.ctypeslib.as_array((ctypes.c_double * 300).from_address(args[5]))
+            seen.append(bool(np.isfinite(w).all()))
             return real(*args)
 
         M = private_matrix(300, 68)
@@ -597,7 +623,7 @@ class TestTwoEndedPath:
         with_routines(monkeypatch, spy, names=("dstein",))
         monkeypatch.setattr(np, "empty", poisoned)
         pairs = top_d_eigen(M, 2)
-        assert seen == [((300,), True)] * 2
+        assert seen == [True] * 2
         assert np.array_equal(pairs.values, expected.values)
         assert np.array_equal(pairs.vectors, expected.vectors)
 
@@ -613,20 +639,28 @@ class TestTwoEndedPath:
         (LANCZOS_MIN_N, LANCZOS_MIN_N // 2, None, ["eigh"]),
         (3, 1, "dstein", ["eigh"]),
         (300, 2, "dsytrd", ["eigh"]),
-        (LANCZOS_MIN_N, 2, None, ["eigsh"]),
+        (LANCZOS_MIN_N, 2, None, ["lanczos"]),
     ])
     def test_the_size_gate(self, monkeypatch, n, d, missing, solved_by):
         # A full eigh only for half the spectrum or more, or without one of
-        # the routines; ARPACK from LANCZOS_MIN_N; the two ends otherwise.
+        # the routines; Lanczos from LANCZOS_MIN_N; the two ends otherwise.
+        # Only an n x n eigh counts: the Lanczos solver's own small ones
+        # do not.
         calls = []
         with_routines(monkeypatch, lambda name, real, *args: calls.append(name) or real(*args))
         if missing is not None:
             lacking = embedding._openblas(np.linalg._umath_linalg)._replace(**{missing: None})
             monkeypatch.setattr(embedding, "_openblas", lambda module: lacking)
-        for module, name in ((np.linalg, "eigh"), (scipy.sparse.linalg, "eigsh")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, name=name, real=real, **kwargs:
-                                calls.append(name) or real(*args, **kwargs))
+        eigh, lanczos = np.linalg.eigh, embedding._lanczos
+
+        def full_eigh(M):
+            if len(M) == n:
+                calls.append("eigh")
+            return eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", full_eigh)
+        monkeypatch.setattr(embedding, "_lanczos", lambda P, d: calls.append("lanczos")
+                            or lanczos(P, d))
         top_d_eigen(random_symmetric(n, np.random.default_rng(63)), d)
         assert calls == solved_by
 
@@ -645,9 +679,10 @@ class TestTwoEndedPath:
     def failing(step: str, call: int, how: str):
         """A fake for ``with_routines`` that runs every call and spoils the
         given call (0 for the first) of the given step: a nonzero info, one
-        pair too few (dstebz's m, passed by reference), or an unconverged
-        second vector in dstein's ifail."""
+        pair too few (dstebz's m), or an unconverged second vector in
+        dstein's ifail, each passed by address."""
         calls = []
+        integer = numpy_lapack().lapack_int
 
         def fake(name, real, *args):
             info = real(*args)
@@ -657,9 +692,9 @@ class TestTwoEndedPath:
             if len(calls) - 1 != call:
                 return info
             if how == "count":
-                args[10]._obj.value -= 1
+                integer.from_address(args[10]).value -= 1
             elif how == "ifail":
-                args[10][1] = 2
+                (integer * 2).from_address(args[10])[1] = 2
             return 1 if how == "info" else info
 
         return fake
@@ -725,65 +760,89 @@ def blas_count(module):
 
 
 @pytest.fixture
-def scipy_blas_count():
-    yield from blas_count(_fblas)
-
-
-@pytest.fixture
 def numpy_blas_count():
     yield from blas_count(np.linalg._umath_linalg)
 
 
-class TestScipyBlasThreads:
+def probe_command(args: list[str]) -> list[str]:
+    """Run ``dpase.cli.main(args)`` in a fresh interpreter; its exit code,
+    whether ``scipy`` was imported, and how many threads were running."""
+    src = Path(dpase.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (f"import sys, threading; from dpase.cli import main; code = main({args!r}); "
+             "print(code, 'scipy' in sys.modules, threading.active_count())")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    return result.stdout.split()[-3:]
+
+
+class TestLanczosThreads:
     def test_a_solve_runs_on_one_thread_and_restores_the_count(
-        self, monkeypatch, lanczos_case, scipy_blas_count
+        self, monkeypatch, lanczos_case, numpy_blas_count
     ):
         M, _ = lanczos_case
         seen = []
         matvec = PackedSymmetric.matvec
 
         def spy(self, v):
-            seen.append(scipy_blas_count())
+            seen.append(numpy_blas_count())
             return matvec(self, v)
 
         monkeypatch.setattr(PackedSymmetric, "matvec", spy)
         top_d_eigen(M, 2)
         assert seen and set(seen) == {1}
-        assert scipy_blas_count() == 2
+        assert numpy_blas_count() == 2
 
-    def test_non_convergence_restores_the_count(self, monkeypatch, lanczos_case, scipy_blas_count):
+    def test_non_convergence_restores_the_count(self, monkeypatch, lanczos_case, numpy_blas_count):
         M, _ = lanczos_case
         seen = []
+        matvec = PackedSymmetric.matvec
 
-        def stuck(*args, **kwargs):
-            seen.append(scipy_blas_count())
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+        def spy(self, v):
+            seen.append(numpy_blas_count())
+            return matvec(self, v)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
+        monkeypatch.setattr(PackedSymmetric, "matvec", spy)
+        monkeypatch.setattr(embedding, "_PRODUCTS_PER_ROW", 0.01)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             top_d_eigen(M, 2)
-        assert seen == [1]
-        assert scipy_blas_count() == 2
+        assert seen == [1] * 10
+        assert numpy_blas_count() == 2
 
-    @pytest.mark.parametrize("pool", ["scipy", "numpy"])
-    def test_results_do_not_depend_on_the_pin(self, monkeypatch, lanczos_case, pool):
-        # Without scipy's pin the results are the same bit for bit. Without
-        # numpy's, OpenBLAS splits each dsymv's sums over its threads, so
-        # they agree to rounding: numpy's pin is what keeps the products'
-        # bits independent of that pool's size.
+    def test_results_do_not_depend_on_the_pin(self, monkeypatch, lanczos_case):
+        # Without the pin OpenBLAS splits each dsymv's sums over its
+        # threads, so the pairs agree to rounding: the pin is what keeps
+        # the solve's bits independent of the pool's size.
         M, _ = lanczos_case
         pinned = top_d_eigen(M, 10)
-        unpinned_found = embedding._openblas(_fblas if pool == "scipy" else np.linalg._umath_linalg)
-        real = embedding._one_blas_thread
-        monkeypatch.setattr(embedding, "_one_blas_thread", lambda found: contextlib.nullcontext()
-                            if found is unpinned_found else real(found))
+        monkeypatch.setattr(embedding, "_one_blas_thread", lambda found: contextlib.nullcontext())
         unpinned = top_d_eigen(M, 10)
-        if pool == "scipy":
-            assert np.array_equal(pinned.values, unpinned.values)
-            assert np.array_equal(pinned.vectors, unpinned.vectors)
-        else:
-            assert np.abs(pinned.values - unpinned.values).max() <= 1e-12 * abs(pinned.values[0])
-            assert np.abs(pinned.vectors - unpinned.vectors).max() <= 1e-8
+        assert np.abs(pinned.values - unpinned.values).max() <= 1e-12 * abs(pinned.values[0])
+        assert np.abs(pinned.vectors - unpinned.vectors).max() <= 1e-8
+
+    def test_results_are_bit_identical_at_one_and_two_blas_threads(self):
+        # The pin holds from the start vector to the returned pairs, so the
+        # pool size that a process starts with changes no bit.
+        src = Path(dpase.__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from dpase import SbmParams, sample_sbm, top_d_eigen
+            params = SbmParams(B=np.array([[0.3, 0.1], [0.1, 0.2]]), pi=[0.4, 0.6])
+            A = sample_sbm(params, 1000, np.random.default_rng(40)).adjacency
+            digest = hashlib.sha256()
+            for d in (2, 10):
+                pairs = top_d_eigen(A, d)
+                digest.update(pairs.values.tobytes() + pairs.vectors.tobytes())
+            print(digest.hexdigest())
+        """)
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, check=True)
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
 
     def test_results_without_the_cblas_symbols_agree(self, monkeypatch, lanczos_case):
         # The numpy fallback of the packed product rounds differently, so
@@ -816,32 +875,20 @@ class TestScipyBlasThreads:
         assert seen.count((True, 1)) == seen.count((False, 1))
         assert numpy_blas_count() == 2
 
-    def test_finds_the_setter_whenever_scipy_reports_openblas(self):
-        # A wheel that renames the symbols must fail here, not silently
-        # lose the pin.
-        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if "openblas" not in blas["name"].lower():
-            pytest.skip(f"scipy's BLAS is {blas['name']}")
-        assert embedding._openblas(_fblas) is not None
-
-    # Both take the two-ended solve, which calls numpy's own LAPACK:
-    # importing scipy.linalg after dpase.cli adds about 27 MB of resident
-    # memory.
+    # Both take the two-ended solve, which calls numpy's own LAPACK.
     @pytest.mark.parametrize("n", [60, 300])
     def test_a_dense_path_command_never_imports_scipy(self, tmp_path, n):
-        # The dense path would otherwise pay scipy's import time and memory.
-        src = Path(dpase.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        args = ["privacy-grid", "--n", str(n), "--B", "0.3,0.1,0.1,0.2", "--pi", "0.4,0.6",
-                "--alpha", "0.1", "--delta", "0.01", "--out", str(tmp_path / "grid.csv")]
-        probe = (f"import sys, threading; from dpase.cli import main; code = main({args!r}); "
-                 "print(code, 'scipy' in sys.modules, threading.active_count())")
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True,
-            text=True, check=True,
-        )
+        args = ["privacy-grid", "--n", str(n), *SBM_FLAGS, "--alpha", "0.1",
+                "--delta", "0.01", "--out", str(tmp_path / "grid.csv")]
         # No helper thread either: only Lanczos-size products and draws split.
-        assert result.stdout.split()[-3:] == ["0", "False", "1"]
+        assert probe_command(args) == ["0", "False", "1"]
+
+    def test_a_lanczos_path_command_never_imports_scipy(self, tmp_path):
+        # Importing scipy.sparse.linalg after dpase.cli took 0.22-0.24 s
+        # and 30 MB of resident memory for ARPACK.
+        args = ["simulate-sweep-n", "--n-list", str(LANCZOS_MIN_N), *SBM_FLAGS,
+                "--out", str(tmp_path / "sweep.csv")]
+        assert probe_command(args) == ["0", "False", "2"]
 
 
 def numpy_cblas():
@@ -951,11 +998,11 @@ class TestSplitProduct:
         assert result.stdout.split() == ["2", "2"], result.stderr
 
     def test_threads_solving_at_once_get_the_serial_results(
-        self, lanczos_case, numpy_blas_count, scipy_blas_count
+        self, lanczos_case, numpy_blas_count
     ):
         # More solving threads than cores, switching often. Their products
-        # take the helper in turn, and the pins are counted, so both pools
-        # stay on one thread until the last solve ends: an unpinned pool
+        # take the helper in turn, and the pins are counted, so numpy's pool
+        # stays on one thread until the last solve ends: an unpinned pool
         # would change the products' rounding, and a lost handoff would
         # mix two products' halves.
         M, _ = lanczos_case
@@ -987,7 +1034,7 @@ class TestSplitProduct:
         for got, expected in zip(results, serial):
             assert np.array_equal(got.values, expected.values)
             assert np.array_equal(got.vectors, expected.vectors)
-        assert numpy_blas_count() == 2 and scipy_blas_count() == 2
+        assert numpy_blas_count() == 2
 
     def test_a_failure_in_the_helpers_half_raises_in_the_caller(self, monkeypatch):
         found = numpy_cblas()

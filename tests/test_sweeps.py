@@ -9,7 +9,6 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 import scipy.stats
 
 from conftest import traced_peak
@@ -156,17 +155,16 @@ class TestFailureTagging:
         # cell and both plain references still compute. Each n has one
         # cell, whose plain reference is solved before its private matrix,
         # so the solves are told apart by their order per n.
-        real = scipy.sparse.linalg.eigsh
+        real = embedding._lanczos
         solves = defaultdict(list)
 
-        def flaky(M, **kwargs):
-            n = M.shape[0]
-            solves[n].append("plain" if not solves[n] else "private")
-            if n == 1000 and solves[n][-1] == "private":
-                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-            return real(M, **kwargs)
+        def flaky(P, d):
+            solves[P.n].append("plain" if not solves[P.n] else "private")
+            if P.n == 1000 and solves[P.n][-1] == "private":
+                raise np.linalg.LinAlgError("Lanczos eigensolver did not converge")
+            return real(P, d)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
+        monkeypatch.setattr(embedding, "_lanczos", flaky)
         records = run_n_sweep(sim_source(), [1000, 1100], 2, 0.5, 0.01, 3, 1, 0)
         assert solves == {1000: ["plain", "private"], 1100: ["plain", "private"]}
         by_n = {r.n: r for r in records}
@@ -177,18 +175,18 @@ class TestFailureTagging:
         assert by_n[1100].error_dp is not None
 
     def test_a_failed_shared_solve_fails_only_its_own_cells(self, monkeypatch):
-        # eigsh fails for k = 4 only. The plain d = 4 solve that the d = 2
-        # cells would slice fails, so they solve d = 2 on their own.
-        real = scipy.sparse.linalg.eigsh
+        # The Lanczos solver fails for d = 4 only. The plain d = 4 solve that
+        # the d = 2 cells would slice fails, so they solve d = 2 on their own.
+        real = embedding._lanczos
         solves = []
 
-        def flaky(M, **kwargs):
-            solves.append(kwargs["k"])
-            if kwargs["k"] == 4:
-                raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-            return real(M, **kwargs)
+        def flaky(P, d):
+            solves.append(d)
+            if d == 4:
+                raise np.linalg.LinAlgError("Lanczos eigensolver did not converge")
+            return real(P, d)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
+        monkeypatch.setattr(embedding, "_lanczos", flaky)
         n = embedding.LANCZOS_MIN_N
         records = run_dim_sweep(fixed_source(n=n), n, [2, 4], 0.5, 0.01, 3, 2, 0)
         # First replicate: the shared plain d = 4 (fails), plain d = 2 and
@@ -233,16 +231,16 @@ class TestFailureTagging:
 class TestTightCorner:
     def test_lanczos_cell_agrees_with_the_dense_solve(self, monkeypatch):
         # alpha = delta = 0.001 at n = 1000: the wanted eigenpairs sit near
-        # the noise bulk, where ARPACK needs the most restarts. The packed
+        # the noise bulk, where Lanczos needs the most restarts. The packed
         # Lanczos solve must match a dense decomposition of the same matrix.
         solves = []
-        real = scipy.sparse.linalg.eigsh
+        real = embedding._lanczos
 
-        def counted(*args, **kwargs):
-            solves.append(kwargs["k"])
-            return real(*args, **kwargs)
+        def counted(P, d):
+            solves.append(d)
+            return real(P, d)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        monkeypatch.setattr(embedding, "_lanczos", counted)
 
         def run():
             private, real_dp_ase = [], sweeps.dp_ase
