@@ -480,13 +480,13 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     later step or test touches them again. Without locking, two d = 50
     solves at n = 2000 took 620-687 products instead of 479-482.
 
-    The test runs at the end of each cycle and, inside one, once the
-    products since the last test reach 2048 s^3 / n^2 for s active pairs:
-    a product costs about n^2 and the test's small eigensolve about s^3.
-    A d = 2 solve then tests every few products at n = 2000 (it stops
-    after 22 products, where a cycle-end test stops after 37), and a
-    d >= 10 solve about once a cycle, where more tests would cost more
-    than the products they save.
+    The test runs at the end of each cycle and, once the last test found
+    every wanted pair within 1000 times its tolerance, after every
+    product, so the last cycle stops as soon as it has converged: a d = 2
+    solve of a seed-7 n = 2000 blockmodel graph stops after 22 products
+    instead of 37. Testing after every product from the start cost more
+    than it saved: its small eigensolve took up to 2 times a product at
+    d = 50 and n = 2000.
 
     The basis holds ``ncv = max(20, min(4 d, 2 d + 20))`` vectors (at
     most n). Past the K signal pairs of a blockmodel the wanted pairs sit
@@ -515,7 +515,8 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     V, S, b = np.empty((ncv + 1, n)), np.zeros((ncv, ncv)), np.zeros(ncv)
     V[0] = rng.standard_normal(n)
     V[0] /= np.linalg.norm(V[0])
-    m = locked = products = since = converged = 0  # V[:locked]: the locked Ritz vectors
+    m = locked = products = converged = 0  # V[:locked]: the locked Ritz vectors
+    near = False
     with _one_blas_thread(_openblas(np.linalg._umath_linalg)):
         while True:
             if products >= _PRODUCTS_PER_ROW * n:
@@ -524,7 +525,7 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
                     f"{converged} of {d} pairs after {products} products"
                 )
             basis, w = V[:m + 1], P.matvec(V[m])
-            products, since = products + 1, since + 1
+            products += 1
             alpha, norm = 0.0, math.sqrt(w @ w)
             for _ in range(3):
                 step = basis @ w
@@ -541,15 +542,16 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
             S[m, m], b[:m], b[m] = alpha, 0.0, norm
             np.divide(w, norm or math.sqrt(w @ w), out=V[m + 1])
             m += 1
-            active = m - locked
-            if m < ncv and since * n * n < 2048 * active**3:
+            if m < ncv and not near:
                 continue
-            since = 0
             theta, Y = np.linalg.eigh(S[locked:m, locked:m])
-            done = np.abs(b[locked:m] @ Y) <= u * np.maximum(u ** (2 / 3), np.abs(theta))
+            residual = np.abs(b[locked:m] @ Y)
+            tolerance = u * np.maximum(u ** (2 / 3), np.abs(theta))
             values = np.concatenate((S.diagonal()[:locked], theta))
-            done = np.concatenate((np.ones(locked, dtype=bool), done))
             order = np.argsort(-np.abs(values), kind="stable")
+            lock = np.ones(locked, dtype=bool)
+            done = np.concatenate((lock, residual <= tolerance))
+            near = np.concatenate((lock, residual <= 1000 * tolerance))[order[:d]].all()
             converged = int(np.count_nonzero(done[order[:d]]))
             if converged == d or m == ncv:
                 # Column i maps the basis to the Ritz vector of values[i].
