@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._shared import ParameterRangeError, row_blocks
-from .embedding import _one_blas_thread, _openblas
+from .embedding import _one_blas_thread
 
 # From this many dimensions on, LOOCV ranks through the Gram filter
 # instead of the sorted sweep. One call on a seed-7 blockmodel
@@ -279,10 +279,12 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     # A full block plus k on each side; with the Gram filter, all points.
     reach = blocks[0].stop + k if gram is None else n
     errors = 0
-    # The filter's products run on numpy's one-thread pin: on two cores
-    # the pool's idle worker spins between them, and an n = 2000, d = 50
-    # call took 156-157 ms of CPU in 77-89 ms of wall time without it.
-    with _one_blas_thread(None if gram is None else _openblas(np.linalg._umath_linalg)):
+    # numpy's OpenBLAS is pinned to one thread for the call: the Gram
+    # filter's products would otherwise leave the pool's idle worker
+    # spinning between them, and an n = 2000, d = 50 call took 156-157 ms
+    # of CPU in 77-89 ms of wall time without the pin. The sorted sweep
+    # calls no BLAS routine, so the pin changes none of its bits.
+    with _one_blas_thread():
         for b in blocks:
             queries, xq, own = coords[:, b].T, xs[b], np.arange(b.stop - b.start)
             lo, hi = max(0, b.start - reach), min(n, b.stop + reach)

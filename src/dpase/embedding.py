@@ -176,7 +176,7 @@ class PackedSymmetric:
         """Two functions that write y1 = M11 v1 + M21^T v2 and y2 = M22 v2 +
         M21 v1 into the halves of y, through numpy's ``cblas_dsymv`` and
         ``cblas_dgemv``; None if numpy's BLAS lacks either."""
-        blas = _openblas(np.linalg._umath_linalg)
+        blas = _openblas()
         if blas is None or blas.dsymv is None or blas.dgemv is None:
             return None
         n, odd = self.n, self.n % 2
@@ -245,7 +245,11 @@ def _lower_symv(T: np.ndarray, x: np.ndarray) -> np.ndarray:
 # jobs in turn and puts the half's exception, or None, on the job's own
 # reply queue, so a caller only ever reads the reply to its own half.
 _jobs: queue.SimpleQueue | None = None
-_jobs_start = threading.Lock()
+# How many blocks pin numpy's OpenBLAS now, and the thread count to
+# restore when the last one ends (:func:`_one_blas_thread`).
+_pin = [0, None]
+# Guards the helper's start and the pin.
+_lock = threading.Lock()
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
@@ -265,7 +269,7 @@ def _split(first: Callable[[], None], second: Callable[[], None]) -> None:
     with the GIL released; an exception in second() is raised in the
     caller. Calls from several threads queue their halves for the helper."""
     global _jobs
-    with _jobs_start:
+    with _lock:
         if _jobs is None:
             _jobs = queue.SimpleQueue()
             threading.Thread(target=_serve, args=(_jobs,), name="dpase-split", daemon=True).start()
@@ -300,15 +304,13 @@ def draw_in_two(n: int, rng: np.random.Generator,
 
 def _forget_threads() -> None:
     """In a forked child, which has only the forking thread, drop the
-    parent's job queue and locks; the next split starts a new helper. A
-    pin held by another of the parent's threads would never end in the
-    child, so each held pin's thread count is restored first."""
-    global _jobs, _jobs_start, _pin_lock
-    _jobs, _jobs_start, _pin_lock = None, threading.Lock(), threading.Lock()
-    for count, saved, set_threads in _pins.values():
-        if count:
-            set_threads(saved)
-    _pins.clear()
+    parent's job queue, lock and pin; the next split starts a new helper.
+    A pin held by another of the parent's threads would never end in the
+    child, so the thread count it saved is restored first."""
+    global _jobs, _lock, _pin
+    if _pin[0]:
+        _openblas().set_threads(_pin[1])
+    _jobs, _lock, _pin = None, threading.Lock(), [0, None]
 
 
 os.register_at_fork(after_in_child=_forget_threads)
@@ -349,7 +351,7 @@ def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
 
 
 class _OpenBlas(NamedTuple):
-    """Entry points of one loaded OpenBLAS: its thread count's getter and
+    """Entry points of numpy's OpenBLAS: its thread count's getter and
     setter, LAPACKE's ``dsytrd``, ``dstebz``, ``dstein`` and ``dormtr``,
     CBLAS's ``dsymv`` and ``dgemv`` (each None if it does not export it),
     and the integer type of its LAPACK and BLAS."""
@@ -366,18 +368,18 @@ class _OpenBlas(NamedTuple):
 
 
 @cache
-def _openblas(module) -> _OpenBlas | None:
-    """The OpenBLAS that the extension module links, or None if it links
-    no OpenBLAS that exports its thread count.
+def _openblas() -> _OpenBlas | None:
+    """numpy's OpenBLAS, or None if numpy links no OpenBLAS that exports
+    its thread count.
 
-    A wheel bundles its own OpenBLAS, with its own thread pool, and may
-    prefix its symbols (numpy's wheels use ``scipy_``). Looking the
-    symbols up through the handle of an extension module (``dlsym``
-    searches an object and then what it links) finds the copy that module
-    calls, wherever it is installed: ``numpy.linalg._umath_linalg``
-    reaches numpy's. A ``64_`` suffix marks a 64-bit integer (ILP64) build.
+    numpy's wheel bundles its own OpenBLAS, with its own thread pool, and
+    prefixes its symbols with ``scipy_``. Looking the symbols up through
+    the handle of numpy's LAPACK extension, ``numpy.linalg._umath_linalg``
+    (``dlsym`` searches an object and then what it links), finds the copy
+    that numpy calls, wherever it is installed. A ``64_`` suffix marks a
+    64-bit integer (ILP64) build.
     """
-    lib = ctypes.CDLL(module.__file__)
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
         if hasattr(lib, f"{prefix}openblas_set_num_threads{suffix}"):
             get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
@@ -415,35 +417,30 @@ def _openblas(module) -> _OpenBlas | None:
     return None
 
 
-# Per found library, keyed by its setter's id (a ctypes function is not
-# hashable): [how many blocks pin it now, the thread count to restore
-# when the last one ends, the setter].
-_pins: dict = {}
-_pin_lock = threading.Lock()
-
-
 @contextmanager
-def _one_blas_thread(found: _OpenBlas | None):
-    """Run each call of the found OpenBLAS on the thread that makes it
-    while the block runs, then restore its previous thread count; do
-    nothing if none was found.
+def _one_blas_thread():
+    """Run each call of numpy's OpenBLAS on the thread that makes it while
+    the block runs, then restore its previous thread count; do nothing if
+    numpy has no such OpenBLAS.
 
     After each threaded call a pool's worker busy-waits, and it then
     competes with the helper thread that runs the second half of each
     split product or draw (:func:`_split`), and with the caller's next
-    calls, for the cores. A Lanczos solve splits each product over two
-    threads itself (:meth:`PackedSymmetric.matvec`), and
-    a two-ended dense ``top_d_eigen`` at n = 300 and d = 2 takes 1.4 ms of
-    wall and CPU time on one thread, where a full ``eigh`` took 3.5-5.2 ms
-    of wall and 7.4-9.2 ms of CPU time on two. The count is process-wide,
-    so blocks that overlap in several threads are counted: the first
-    one sets the count to 1 and the last one to end restores it.
+    calls, for the cores: a two-ended ``top_d_eigen`` at n = 300 and d = 2
+    takes 1.4 ms of wall and CPU time on one thread, where a full ``eigh``
+    took 3.5-5.2 ms of wall and 7.4-9.2 ms of CPU time on two. One thread
+    also makes each call round the same way on any pool size. The count
+    is process-wide, so blocks that overlap in several threads are
+    counted: the first one sets the count to 1 and the last one to end
+    restores it. A block counts down the pair it counted up, so one that
+    the forking thread ends in a child leaves the child's new pair alone.
     """
+    found = _openblas()
     if found is None:
         yield
         return
-    with _pin_lock:
-        pin = _pins.setdefault(id(found.set_threads), [0, None, found.set_threads])
+    with _lock:
+        pin = _pin
         if pin[0] == 0:
             pin[1] = found.get_threads()
             found.set_threads(1)
@@ -451,7 +448,7 @@ def _one_blas_thread(found: _OpenBlas | None):
     try:
         yield
     finally:
-        with _pin_lock:
+        with _lock:
             pin[0] -= 1
             if pin[0] == 0:
                 found.set_threads(pin[1])
@@ -498,10 +495,10 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     and a larger basis took more (570 at 200). For d <= 5 the rule gives
     20.
 
-    numpy's OpenBLAS is pinned to one thread for the whole solve, so the
-    basis operations and the small eigensolves round the same way on any
-    pool size; each product is split over the calling thread and one
-    helper thread instead (:meth:`PackedSymmetric.matvec`), which nearly
+    The caller pins numpy's OpenBLAS to one thread (:func:`top_d_eigen`),
+    so the basis operations and the small eigensolves round the same way
+    on any pool size; each product is split over the calling thread and
+    one helper thread instead (:meth:`PackedSymmetric.matvec`), which nearly
     halves its wall time from n = 2000 on. The start vector, and any fresh
     direction, come from one fixed-seed generator, so results are
     reproducible and no caller's random stream is touched. A solve that
@@ -517,67 +514,66 @@ def _lanczos(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray]:
     V[0] /= np.linalg.norm(V[0])
     m = locked = products = converged = 0  # V[:locked]: the locked Ritz vectors
     near = False
-    with _one_blas_thread(_openblas(np.linalg._umath_linalg)):
-        while True:
-            if products >= _PRODUCTS_PER_ROW * n:
-                raise np.linalg.LinAlgError(
-                    f"Lanczos eigensolver did not converge for d={d} at n={n}: "
-                    f"{converged} of {d} pairs after {products} products"
-                )
-            basis, w = V[:m + 1], P.matvec(V[m])
-            products += 1
-            alpha, norm = 0.0, math.sqrt(w @ w)
-            for _ in range(3):
-                step = basis @ w
-                w -= step @ basis
-                alpha += step[m]
-                before, norm = norm, math.sqrt(w @ w)
-                if norm > 0.717 * before:
-                    break
-            else:  # an invariant subspace: continue from a fresh direction
-                w, norm = rng.standard_normal(n), 0.0
-                for _ in range(2):
-                    w -= (basis @ w) @ basis
-            S[m, :m] = S[:m, m] = b[:m]
-            S[m, m], b[:m], b[m] = alpha, 0.0, norm
-            np.divide(w, norm or math.sqrt(w @ w), out=V[m + 1])
-            m += 1
-            if m < ncv and not near:
-                continue
-            theta, Y = np.linalg.eigh(S[locked:m, locked:m])
-            residual = np.abs(b[locked:m] @ Y)
-            tolerance = u * np.maximum(u ** (2 / 3), np.abs(theta))
-            values = np.concatenate((S.diagonal()[:locked], theta))
-            order = np.argsort(-np.abs(values), kind="stable")
-            lock = np.ones(locked, dtype=bool)
-            done = np.concatenate((lock, residual <= tolerance))
-            near = np.concatenate((lock, residual <= 1000 * tolerance))[order[:d]].all()
-            converged = int(np.count_nonzero(done[order[:d]]))
-            if converged == d or m == ncv:
-                # Column i maps the basis to the Ritz vector of values[i].
-                Q = np.zeros((m, m))
-                Q[:locked, :locked] = np.eye(locked)
-                Q[locked:, locked:] = Y
-            if converged == d:
-                wanted = order[:d][np.argsort(values[order[:d]], kind="stable")]
-                return values[wanted], V[:m].T @ Q[:, wanted]
-            if m < ncv:
-                continue
-            kept = order[:d + min(converged, (ncv - d) // 2)]
-            kept = kept[np.argsort(~done[kept], kind="stable")]  # converged first
-            keep, locked = len(kept), int(np.count_nonzero(done[kept]))
-            coupling = b[:m] @ Q[:, kept[locked:]]
-            S[:], b[:] = 0.0, 0.0
-            S[range(keep), range(keep)] = values[kept]
-            b[locked:keep] = coupling
-            V[:keep], V[keep] = Q[:, kept].T @ V[:m], V[m]
-            m = keep
+    while True:
+        if products >= _PRODUCTS_PER_ROW * n:
+            raise np.linalg.LinAlgError(
+                f"Lanczos eigensolver did not converge for d={d} at n={n}: "
+                f"{converged} of {d} pairs after {products} products"
+            )
+        basis, w = V[:m + 1], P.matvec(V[m])
+        products += 1
+        alpha, norm = 0.0, math.sqrt(w @ w)
+        for _ in range(3):
+            step = basis @ w
+            w -= step @ basis
+            alpha += step[m]
+            before, norm = norm, math.sqrt(w @ w)
+            if norm > 0.717 * before:
+                break
+        else:  # an invariant subspace: continue from a fresh direction
+            w, norm = rng.standard_normal(n), 0.0
+            for _ in range(2):
+                w -= (basis @ w) @ basis
+        S[m, :m] = S[:m, m] = b[:m]
+        S[m, m], b[:m], b[m] = alpha, 0.0, norm
+        np.divide(w, norm or math.sqrt(w @ w), out=V[m + 1])
+        m += 1
+        if m < ncv and not near:
+            continue
+        theta, Y = np.linalg.eigh(S[locked:m, locked:m])
+        residual = np.abs(b[locked:m] @ Y)
+        tolerance = u * np.maximum(u ** (2 / 3), np.abs(theta))
+        values = np.concatenate((S.diagonal()[:locked], theta))
+        order = np.argsort(-np.abs(values), kind="stable")
+        lock = np.ones(locked, dtype=bool)
+        done = np.concatenate((lock, residual <= tolerance))
+        near = np.concatenate((lock, residual <= 1000 * tolerance))[order[:d]].all()
+        converged = int(np.count_nonzero(done[order[:d]]))
+        if converged == d or m == ncv:
+            # Column i maps the basis to the Ritz vector of values[i].
+            Q = np.zeros((m, m))
+            Q[:locked, :locked] = np.eye(locked)
+            Q[locked:, locked:] = Y
+        if converged == d:
+            wanted = order[:d][np.argsort(values[order[:d]], kind="stable")]
+            return values[wanted], V[:m].T @ Q[:, wanted]
+        if m < ncv:
+            continue
+        kept = order[:d + min(converged, (ncv - d) // 2)]
+        kept = kept[np.argsort(~done[kept], kind="stable")]  # converged first
+        keep, locked = len(kept), int(np.count_nonzero(done[kept]))
+        coupling = b[:m] @ Q[:, kept[locked:]]
+        S[:], b[:] = 0.0, 0.0
+        S[range(keep), range(keep)] = values[kept]
+        b[locked:keep] = coupling
+        V[:keep], V[keep] = Q[:, kept].T @ V[:m], V[m]
+        m = keep
 
 
 def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The d lowest and the d highest eigenpairs in ascending order, from
-    numpy's own LAPACK on one thread; None if numpy's BLAS does not export
-    the four routines below. Needs 2 d < n, so the two ranges do not
+    numpy's own LAPACK, which the caller pins to one thread; None if
+    numpy's BLAS does not export the four routines below. Needs 2 d < n, so the two ranges do not
     overlap.
 
     ``dsytrd`` reduces the matrix to tridiagonal form once. At each end
@@ -589,7 +585,7 @@ def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray] | Non
     layout) is unpacked. A failed step, a wrong pair count or an
     unconverged vector raises ``np.linalg.LinAlgError``.
     """
-    found = _openblas(np.linalg._umath_linalg)
+    found = _openblas()
     if found is None or None in (found.dsytrd, found.dstebz, found.dstein, found.dormtr):
         return None
     # As dsyevr does, scale a matrix whose largest |entry| lies outside
@@ -621,21 +617,20 @@ def _two_ends(P: PackedSymmetric, d: int) -> tuple[np.ndarray, np.ndarray] | Non
                 f"{step} failed for pairs {pairs} at n={n}: info={info}{failed}"
             )
 
-    with _one_blas_thread(found):
-        both = f"1..{d} and {n - d + 1}..{n}"
-        check("dsytrd", found.dsytrd(102, b"L", n, at_M, n, at_d, at_e, at_tau), both)
-        for half, first in enumerate((1, n - d + 1)):
-            pairs = f"{first}..{first + d - 1}"
-            ends = at_w + half * w.strides[0]
-            info = found.dstebz(b"I", b"B", n, 0.0, 0.0, first, first + d - 1, 0.0, at_d, at_e,
-                                at_m, at_nsplit, ends, at_block, at_split)
-            check("dstebz", info, pairs, "" if m.value == d else f", {m.value} pairs")
-            info = found.dstein(102, n, at_d, at_e, d, ends, at_block, at_split,
-                                at_Z + half * d * Z.strides[0], n, at_fail)
-            failed = ifail[:d][ifail[:d] != 0]
-            check("dstein", info, pairs, f", unconverged {failed}" if failed.size else "")
-        check("dormtr", found.dormtr(102, b"L", b"L", b"N", n, 2 * d, at_M, n, at_tau, at_Z, n),
-              both)
+    both = f"1..{d} and {n - d + 1}..{n}"
+    check("dsytrd", found.dsytrd(102, b"L", n, at_M, n, at_d, at_e, at_tau), both)
+    for half, first in enumerate((1, n - d + 1)):
+        pairs = f"{first}..{first + d - 1}"
+        ends = at_w + half * w.strides[0]
+        info = found.dstebz(b"I", b"B", n, 0.0, 0.0, first, first + d - 1, 0.0, at_d, at_e,
+                            at_m, at_nsplit, ends, at_block, at_split)
+        check("dstebz", info, pairs, "" if m.value == d else f", {m.value} pairs")
+        info = found.dstein(102, n, at_d, at_e, d, ends, at_block, at_split,
+                            at_Z + half * d * Z.strides[0], n, at_fail)
+        failed = ifail[:d][ifail[:d] != 0]
+        check("dstein", info, pairs, f", unconverged {failed}" if failed.size else "")
+    check("dormtr", found.dormtr(102, b"L", b"L", b"N", n, 2 * d, at_M, n, at_tau, at_Z, n),
+          both)
     # dstebz lists the eigenvalues of each block of a split tridiagonal
     # matrix in turn; sort them, as dsyevr does.
     w = np.concatenate((w[0, :d], w[1, :d])) * (1 / sigma)
@@ -658,7 +653,10 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     Lanczos solver computes just the d pairs from packed mat-vecs, and
     below it the matrix is unpacked and LAPACK finds only the d lowest and
     the d highest pairs (a full decomposition if numpy's LAPACK lacks one of
-    the routines). Ties in magnitude rank the positive eigenvalue first,
+    the routines). Either partial solve runs with numpy's OpenBLAS pinned
+    to one thread (:func:`_one_blas_thread`), so its bits do not depend on
+    the pool's size; a full decomposition follows ``OPENBLAS_NUM_THREADS``.
+    Ties in magnitude rank the positive eigenvalue first,
     then fall back to ascending position among the solver's ascending
     eigenvalues, so results are deterministic. Magnitudes within n eps max|w| of each other count as
     tied: the solvers compute an exact +/- pair (on a bipartite graph)
@@ -683,7 +681,8 @@ def top_d_eigen(M: np.ndarray | PackedSymmetric, d: int) -> EigenPairs:
     # and the two ends of the spectrum apart. The one full eigh is here.
     pairs = None
     if 2 * d < n:
-        pairs = _lanczos(P, d) if n >= LANCZOS_MIN_N else _two_ends(P, d)
+        with _one_blas_thread():
+            pairs = _lanczos(P, d) if n >= LANCZOS_MIN_N else _two_ends(P, d)
     w, V = np.linalg.eigh(P.dense()) if pairs is None else pairs
     tie = n * np.finfo(float).eps * np.abs(w).max()
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]) - tie * (w[i] > 0), w[i] < 0, i))[:d]

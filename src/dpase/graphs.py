@@ -300,11 +300,13 @@ def load_edge_list(path, n_hint: int | None = None) -> np.ndarray:
         lineno, _ = next(itertools.islice(_data_lines(path, "edge list"), outside[0], None))
         raise EdgeListError(f"{path}:{lineno}: vertex id exceeds declared count {n}")
     u, v = ids.T
+    # Each edge sets both of its entries and a self-loop sets its diagonal
+    # entry to False, so A is symmetric and hollow as built.
     A[u, v] = A[v, u] = u != v
     self_loops = np.count_nonzero(u == v)
     if self_loops:
         log.warning("%s: dropped %d self-loop(s)", path, self_loops)
-    return validate_adjacency(A)
+    return A
 
 
 def write_edge_list(A: np.ndarray, path) -> None:

@@ -348,21 +348,23 @@ class TestSweepWork:
         labels = rng.integers(1, 3, size=2000)
         assert self.entries(monkeypatch, points, labels) <= 0.15
 
-    def test_the_gram_filter_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
+    # d = 2 takes the sorted sweep, d = 10 the Gram filter; both call _vote.
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_both_paths_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch, d):
         # numpy's pool is set to 2 threads, so a count left at 1 shows.
-        found = embedding._openblas(np.linalg._umath_linalg)
+        found = embedding._openblas()
         if found is None:
             pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
         seen = []
-        keep = classify._gram_keep
+        vote = classify._vote
 
         def spy(*args):
             seen.append(found.get_threads())
-            return keep(*args)
+            return vote(*args)
 
-        monkeypatch.setattr(classify, "_gram_keep", spy)
+        monkeypatch.setattr(classify, "_vote", spy)
         rng = np.random.default_rng(12)
-        points, labels = rng.normal(size=(300, 10)), rng.integers(1, 3, size=300)
+        points, labels = rng.normal(size=(300, d)), rng.integers(1, 3, size=300)
         before = found.get_threads()
         found.set_threads(2)
         try:

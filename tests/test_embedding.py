@@ -197,12 +197,10 @@ LAYOUT_SIZES = [1, 2, 3, 4, 5, 7, 255, 256, 257, 300, 301, 1000, 1001]
 def without_cblas(monkeypatch) -> None:
     """Make the packed product find no ``cblas_dsymv`` or ``cblas_dgemv``
     in numpy's BLAS, so that it runs its numpy fallback."""
-    real = embedding._openblas
-    found = real(np.linalg._umath_linalg)
+    found = embedding._openblas()
     if found is not None:
         lacking = found._replace(dsymv=None, dgemv=None)
-        monkeypatch.setattr(embedding, "_openblas", lambda module: lacking
-                            if module is np.linalg._umath_linalg else real(module))
+        monkeypatch.setattr(embedding, "_openblas", lambda: lacking)
 
 
 class TestPackedSymmetric:
@@ -428,7 +426,7 @@ ROUTINES = ("dsytrd", "dstebz", "dstein", "dormtr")
 def numpy_lapack():
     """numpy's OpenBLAS as the two-ended path finds it; skips the test if
     it lacks one of ``ROUTINES``, where that path runs ``eigh`` instead."""
-    found = embedding._openblas(np.linalg._umath_linalg)
+    found = embedding._openblas()
     if found is None or any(getattr(found, name) is None for name in ROUTINES):
         pytest.skip("numpy's BLAS exports no LAPACKE dsytrd, dstebz, dstein or dormtr")
     return found
@@ -442,7 +440,7 @@ def with_routines(monkeypatch, fake, names=ROUTINES) -> None:
         name: lambda *args, name=name: fake(name, getattr(found, name), *args)
         for name in names
     })
-    monkeypatch.setattr(embedding, "_openblas", lambda module: patched)
+    monkeypatch.setattr(embedding, "_openblas", lambda: patched)
 
 
 def path_graph(n: int) -> np.ndarray:
@@ -541,7 +539,7 @@ class TestTwoEndedPath:
                 "--replicates", "5", "--seed", "7", "--out"]
         numpy_lapack()
         assert main([*args, str(tmp_path / "ends.csv")]) == 0
-        monkeypatch.setattr(embedding, "_openblas", lambda module: None)
+        monkeypatch.setattr(embedding, "_openblas", lambda: None)
         assert main([*args, str(tmp_path / "eigh.csv")]) == 0
         ends = (tmp_path / "ends.csv").read_text()
         assert ends == (tmp_path / "eigh.csv").read_text()
@@ -570,10 +568,10 @@ class TestTwoEndedPath:
         real = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or real(*args))
         if missing is None:
-            monkeypatch.setattr(embedding, "_openblas", lambda module: None)
+            monkeypatch.setattr(embedding, "_openblas", lambda: None)
         else:
             lacking = numpy_lapack()._replace(**{missing: None})
-            monkeypatch.setattr(embedding, "_openblas", lambda module: lacking)
+            monkeypatch.setattr(embedding, "_openblas", lambda: lacking)
         full = top_d_eigen(M, d)
         assert calls == [1]
         scale = abs(full.values[0])
@@ -649,8 +647,8 @@ class TestTwoEndedPath:
         calls = []
         with_routines(monkeypatch, lambda name, real, *args: calls.append(name) or real(*args))
         if missing is not None:
-            lacking = embedding._openblas(np.linalg._umath_linalg)._replace(**{missing: None})
-            monkeypatch.setattr(embedding, "_openblas", lambda module: lacking)
+            lacking = embedding._openblas()._replace(**{missing: None})
+            monkeypatch.setattr(embedding, "_openblas", lambda: lacking)
         eigh, lanczos = np.linalg.eigh, embedding._lanczos
 
         def full_eigh(M):
@@ -719,7 +717,7 @@ class TestTwoEndedPath:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if "openblas" not in blas["name"].lower():
             pytest.skip(f"numpy's BLAS is {blas['name']}")
-        assert embedding._openblas(np.linalg._umath_linalg) is not None
+        assert embedding._openblas() is not None
 
     def test_a_solve_runs_on_one_thread_and_restores_the_count(
         self, monkeypatch, numpy_blas_count
@@ -745,23 +743,28 @@ class TestTwoEndedPath:
         assert seen and set(seen) == {1}
         assert numpy_blas_count() == 2
 
-
-def blas_count(module):
-    """The getter of the thread count of the OpenBLAS that the module
-    links, set to 2 while the test runs, so that a count left at 1 shows,
-    and restored after it."""
-    found = embedding._openblas(module)
-    if found is None:
-        pytest.skip(f"{module.__name__} links no OpenBLAS that exports its thread count")
-    before = found.get_threads()
-    found.set_threads(2)
-    yield found.get_threads
-    found.set_threads(before)
+    @pytest.mark.parametrize("d", [50, 100])
+    def test_the_full_eigh_runs_at_the_pools_own_count(self, monkeypatch, numpy_blas_count, d):
+        # Only the partial solves are pinned: at 2 d >= n the full eigh
+        # follows the pool's count, here 2.
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: seen.append(numpy_blas_count()) or eigh(M))
+        top_d_eigen(private_matrix(100, 65), d)
+        assert seen == [2]
 
 
 @pytest.fixture
 def numpy_blas_count():
-    yield from blas_count(np.linalg._umath_linalg)
+    """The getter of numpy's OpenBLAS thread count, set to 2 while the test
+    runs, so that a count left at 1 shows, and restored after it."""
+    found = embedding._openblas()
+    if found is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
+    before = found.get_threads()
+    found.set_threads(2)
+    yield found.get_threads
+    found.set_threads(before)
 
 
 def probe_command(args: list[str]) -> list[str]:
@@ -815,7 +818,7 @@ class TestLanczosThreads:
         # the solve's bits independent of the pool's size.
         M, _ = lanczos_case
         pinned = top_d_eigen(M, 10)
-        monkeypatch.setattr(embedding, "_one_blas_thread", lambda found: contextlib.nullcontext())
+        monkeypatch.setattr(embedding, "_one_blas_thread", lambda: contextlib.nullcontext())
         unpinned = top_d_eigen(M, 10)
         assert np.abs(pinned.values - unpinned.values).max() <= 1e-12 * abs(pinned.values[0])
         assert np.abs(pinned.vectors - unpinned.vectors).max() <= 1e-8
@@ -866,9 +869,8 @@ class TestLanczosThreads:
                          numpy_blas_count()))
             return found.dsymv(*args)
 
-        real, spying = embedding._openblas, found._replace(dsymv=spy)
-        monkeypatch.setattr(embedding, "_openblas", lambda module: spying
-                            if module is np.linalg._umath_linalg else real(module))
+        spying = found._replace(dsymv=spy)
+        monkeypatch.setattr(embedding, "_openblas", lambda: spying)
         top_d_eigen(M, 2)
         # One dsymv per half: the caller's and the helper's, each at one thread.
         assert seen and set(seen) == {(True, 1), (False, 1)}
@@ -895,7 +897,7 @@ def numpy_cblas():
     """numpy's OpenBLAS as the packed product finds it; skips the test if
     it lacks ``cblas_dsymv`` or ``cblas_dgemv``, where the product runs its
     numpy fallback on the calling thread."""
-    found = embedding._openblas(np.linalg._umath_linalg)
+    found = embedding._openblas()
     if found is None or found.dsymv is None or found.dgemv is None:
         pytest.skip("numpy's BLAS exports no cblas_dsymv or cblas_dgemv")
     return found
@@ -963,7 +965,7 @@ class TestSplitProduct:
         # is set to 2 threads first, so that a count left at 1 shows even
         # where the default is 1; the child exits with its count after a
         # pinned block of its own.
-        if embedding._openblas(np.linalg._umath_linalg) is None:
+        if embedding._openblas() is None:
             pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
         src = Path(dpase.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -971,12 +973,12 @@ class TestSplitProduct:
             import os, signal, threading
             import numpy as np
             from dpase import embedding
-            found = embedding._openblas(np.linalg._umath_linalg)
+            found = embedding._openblas()
             found.set_threads(2)
             held, release = threading.Event(), threading.Event()
 
             def hold():
-                with embedding._one_blas_thread(found):
+                with embedding._one_blas_thread():
                     held.set()
                     release.wait()
 
@@ -986,7 +988,7 @@ class TestSplitProduct:
             pid = os.fork()
             if pid == 0:
                 signal.alarm(60)
-                with embedding._one_blas_thread(found):
+                with embedding._one_blas_thread():
                     pass
                 os._exit(found.get_threads())
             release.set()
@@ -1048,7 +1050,7 @@ class TestSplitProduct:
                 raise RuntimeError("injected into the helper's half")
             return found.dsymv(layout, uplo, *args)
 
-        monkeypatch.setattr(embedding, "_openblas", lambda module: found._replace(dsymv=failing))
+        monkeypatch.setattr(embedding, "_openblas", lambda: found._replace(dsymv=failing))
         raised = []
 
         def multiply():

@@ -513,6 +513,41 @@ class TestEdgeListOracle:
         assert got_log == want_log
 
 
+class TestEdgeListAsBuilt:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=12),
+        again=st.lists(st.tuples(st.integers(0, 11), st.booleans()), max_size=8),
+        one_based=st.booleans(),
+        extra=st.one_of(st.none(), st.integers(0, 3)),
+    )
+    @example(edges=[(0, 1), (2, 2)], again=[(0, True), (0, False)], one_based=False, extra=None)
+    @example(edges=[(1, 2), (3, 3)], again=[(1, True)], one_based=True, extra=2)
+    def test_a_loaded_graph_is_a_valid_adjacency_as_built(
+        self, tmp_path, edges, again, one_based, extra
+    ):
+        # load_edge_list returns its matrix unchecked: duplicates, both
+        # orientations of an edge and self-loops must still give an exactly
+        # symmetric, hollow bool matrix, which the check returns as is.
+        pairs = [(u + one_based, v + one_based) for u, v in edges]
+        for i, flip in again:  # repeat drawn edges, some reversed
+            u, v = pairs[i % len(pairs)]
+            pairs.append((v, u) if flip else (u, v))
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        ids = [i for pair in pairs for i in pair]
+        offset = 0 if 0 in ids else 1  # ids are 1-based unless a 0 appears
+        n = max(ids) + 1 - offset + (extra or 0)
+        want = np.zeros((n, n))
+        for u, v in pairs:
+            if u != v:
+                want[u - offset, v - offset] = want[v - offset, u - offset] = 1.0
+        A = load_edge_list(path, None if extra is None else n)
+        assert validate_adjacency(A) is A
+        assert A.dtype == bool and np.array_equal(A, want)
+
+
 class TestLoadLabels:
     def test_already_contiguous(self, tmp_path):
         path = tmp_path / "labels.txt"
