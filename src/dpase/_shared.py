@@ -1,10 +1,11 @@
 """Pieces shared by the numeric modules: the range error that sweeps tag
-``invalid_cell``, and the row-block and square-tile walks that keep n x n
-work in small temporaries."""
+``invalid_cell``, the row-block and square-tile walks that keep n x n
+work in small temporaries, and the record of matrices already checked."""
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -22,11 +23,13 @@ class ParameterRangeError(ValueError):
     """
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive row slices covering ``range(n)``, each about
-    ``BLOCK_ENTRIES`` entries of an n-column matrix."""
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def row_blocks(n: int, min_rows: int = 1, *, start: int = 0,
+               width: int | None = None) -> list[slice]:
+    """Consecutive row slices covering ``range(start, n)``, each about
+    ``BLOCK_ENTRIES`` entries of a matrix of ``width`` columns (n by
+    default) but at least ``min_rows`` rows."""
+    step = max(min_rows, BLOCK_ENTRIES // max(n if width is None else width, 1))
+    return [slice(i, min(i + step, n)) for i in range(start, n, step)]
 
 
 def _tile_side() -> int:
@@ -83,3 +86,25 @@ def is_symmetric(M: np.ndarray, tol: float = 0.0) -> bool:
         if not np.abs(diff, out=diff).max() <= tol:
             return False
     return True
+
+
+# Read-only arrays that own their data and hold, as built or as checked,
+# what the check that consults the record for their kind would find:
+# a bool square array is a valid adjacency (symmetric, hollow), a float
+# vector the finite values of a packed matrix. Keyed by id and held
+# weakly, so an entry goes with its array.
+_checked: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def mark_checked(array: np.ndarray) -> None:
+    """Make ``array`` read-only and, if it owns its data (a view's base
+    could still be written through), record it as checked."""
+    array.setflags(write=False)
+    if array.flags.owndata:
+        _checked[id(array)] = array
+
+
+def is_checked(array: np.ndarray) -> bool:
+    """Whether ``array`` is itself a recorded array and still read-only; a
+    copy, a view or an array made writable again is not."""
+    return _checked.get(id(array)) is array and not array.flags.writeable

@@ -9,9 +9,10 @@ distances throughout so the ordering is exact.
 Leave-one-out evaluation is a sorted sweep (Friedman, Baskett & Shustek
 1975). The points are sorted once, stably, on their widest coordinate
 and walked in blocks of about ``BLOCK_ENTRIES / n`` consecutive sorted
-points. Each block's k-th distances to its sorted neighbors bound the
-true ones from above, and only the points whose gap along the sort axis
-is within that bound can be nearer, so only those get full distances.
+points, but at least ``SWEEP_MIN_ROWS``. Each block's k-th distances to
+its sorted neighbors bound the true ones from above, and only the
+points whose gap along the sort axis is within that bound can be
+nearer, so only those get full distances.
 They are one slice of the sorted points, all n of them where one
 coordinate prunes nothing (small n). From ``GRAM_FILTER_MIN_D``
 dimensions on, where one coordinate prunes nothing either, the sweep
@@ -42,6 +43,15 @@ from .embedding import _one_blas_thread
 # block spans most points, so the filter keeps most of them and is
 # slower at d = 5 and 10 (0.8 -> 0.9 and 1.0 -> 1.2 ms).
 GRAM_FILTER_MIN_D = 5
+# The sorted sweep walks blocks of at least this many sorted points,
+# where BLOCK_ENTRIES / n gives fewer (n > 1024); the Gram filter keeps
+# ``row_blocks``. Its block's work grows with the block, the sweep's
+# only with the candidate slice, so fewer Python-level rounds pay. One
+# plain plus one private call at d = 2 on a seed-7 blockmodel, k = 3,
+# 2-core x86-64 machine, BLOCK_ENTRIES / n rows -> 32, 64, 128 rows:
+# 37 -> 34, 34, 30 ms at n = 2000; 81 -> 61, 63, 78 ms at n = 4000;
+# 325 -> 199, 175, 195 ms at n = 8000, with the same error rates.
+SWEEP_MIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -186,8 +196,9 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     """Leave-one-out kNN error: predict each point from all the others.
 
     The points are sorted, stably, on their widest coordinate and walked
-    in blocks of about ``BLOCK_ENTRIES / n`` consecutive sorted points.
-    For each block:
+    in blocks of about ``BLOCK_ENTRIES / n`` consecutive sorted points,
+    but at least ``SWEEP_MIN_ROWS`` (64, from n = 1025 on). For each
+    block:
 
     1. Distances to the block's sorted neighbors, a full block plus k on
        each side, give each row's k-th smallest distance among them, an
@@ -213,10 +224,11 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     row without it by a stable sort, also when squares overflow to inf.
 
     With d >= ``GRAM_FILTER_MIN_D`` steps 1 and 2 are skipped, since
-    one coordinate prunes nothing there. Step 3's candidates are then
-    the points, out of all n, that the Gram filter ``_gram_keep`` keeps:
-    each one whose Gram-form distance minus its error bound e_ij is
-    within some row's bound U_i. The filter is exact, as follows. Let
+    one coordinate prunes nothing there, and the blocks keep about
+    ``BLOCK_ENTRIES / n`` points, however few. Step 3's candidates are
+    then the points, out of all n, that the Gram filter ``_gram_keep``
+    keeps: each one whose Gram-form distance minus its error bound e_ij
+    is within some row's bound U_i. The filter is exact, as follows. Let
     s_ij be the float value that the kernel ``_sq_dists`` returns,
     g_ij = ||x_i - x_j||^2 the real distance, n_i the float ||x_i||^2,
     T_ij = ||x_i||^2 + ||x_j||^2, u = 2^-53 the unit roundoff,
@@ -275,7 +287,7 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     # of a slice of the sorted points at a time.
     coords = np.ascontiguousarray(points[order].T)
     gram = _gram_bounds(coords) if len(coords) >= GRAM_FILTER_MIN_D else None
-    blocks = row_blocks(n)
+    blocks = row_blocks(n) if gram is not None else row_blocks(n, SWEEP_MIN_ROWS)
     # A full block plus k on each side; with the Gram filter, all points.
     reach = blocks[0].stop + k if gram is None else n
     errors = 0

@@ -9,9 +9,12 @@ the usual square root when all retained eigenvalues are positive.
 Every symmetric matrix is decomposed from one layout, one triangle
 packed into n (n + 1) / 2 float64 values in LAPACK's rectangular full
 packed (RFP) format (:class:`PackedSymmetric`), so a float matrix costs
-4 n^2 bytes instead of 8 n^2. A dense input is checked and then packed
-from its upper triangle; a bool adjacency is packed straight from its
-one-byte rows, with no n x n float64 copy.
+4 n^2 bytes instead of 8 n^2. A dense input is checked (a graph marked
+checked, :func:`~dpase._shared.is_checked`, is not walked again) and
+then packed from its upper triangle; a bool adjacency is packed straight
+from its one-byte entries, with no n x n float64 copy. Packing,
+unpacking and the noise draw's :meth:`PackedSymmetric.fill` walk the
+same groups of whole RFP columns in storage order.
 
 A request for at least half the spectrum takes a full dense symmetric
 decomposition (LAPACK) that is then truncated, as does a small one
@@ -55,7 +58,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._shared import (
-    BLOCK_ENTRIES, ParameterRangeError, is_symmetric, mirror_upper, row_blocks, tile_pairs,
+    BLOCK_ENTRIES, ParameterRangeError, is_checked, is_symmetric, mirror_upper, row_blocks,
+    tile_pairs,
 )
 
 INPUT_SYMMETRY_TOL = 1e-12
@@ -131,46 +135,50 @@ class PackedSymmetric:
         if not self.data.flags.c_contiguous:
             raise ValueError("packed values must be one contiguous array")
 
-    def _blocks(self):
-        """(rows, cols, mask, part) for each piece of a block of rows: the
-        entries of ``M[rows, cols]`` where ``mask`` holds, those on and right
-        of the diagonal, have their places in ``part``, a view of ``data``
-        of the same shape. A block's square on the diagonal takes a
-        triangular mask, the rest of its rows none (True). No block
-        straddles row n1, so a view is either the tails of RFP columns or
-        M22's lower triangle read across.
-        """
-        n, odd = self.n, self.n % 2
-        n1, n2 = n - n // 2, n // 2
-        columns = self.data.reshape(n1, n + 1 - odd)  # row j: RFP column j
-        lower = columns[odd:odd + n2, :n2]  # M22's lower triangle, row by row
-        for block in row_blocks(n):
-            for rows in (slice(block.start, min(block.stop, n1)),
-                         slice(max(block.start, n1), block.stop)):
-                start, stop = rows.start, rows.stop
-                if start >= stop:
-                    continue
-                if start < n1:
-                    part = columns[rows, start + 1 - odd:]
-                else:
-                    part = lower[start - n1:, start - n1:stop - n1].T
-                square = np.arange(stop - start)
-                yield rows, slice(start, stop), square >= square[:, None], part[:, :stop - start]
-                yield rows, slice(stop, n), True, part[:, stop - start:]
+    def _groups(self, start: int = 0, stop: int | None = None) -> list[slice]:
+        """Slices of consecutive whole RFP columns, about ``BLOCK_ENTRIES``
+        values each (at least one column), from the column that holds
+        ``data[start]`` through the one that holds ``data[stop - 1]``."""
+        lda = self.n + 1 - self.n % 2
+        stop = self.data.size if stop is None else stop
+        return row_blocks(-(-stop // lda), start=start // lda, width=lda)
+
+    def _columns(self) -> np.ndarray:
+        """``data`` as an array whose row j is RFP column j."""
+        return self.data.reshape(-1, self.n + 1 - self.n % 2)
 
     @classmethod
     def pack(cls, M: np.ndarray) -> PackedSymmetric:
         """The upper triangle of the square matrix M, packed."""
         n = len(M)
         packed = cls(n, np.empty(n * (n + 1) // 2))
-        for rows, cols, mask, part in packed._blocks():
-            np.copyto(part, M[rows, cols], where=mask)
+        columns = packed._columns()
+        for group in packed._groups():
+            for part, tile, mask in _upper_tiles(M, columns[group], group.start):
+                np.copyto(part, tile, where=mask)
         return packed
 
-    def add(self, M: np.ndarray) -> None:
-        """Add the upper triangle of the square n x n matrix M in place."""
-        for rows, cols, mask, part in self._blocks():
-            np.add(part, M[rows, cols], out=part, where=mask)
+    def fill(self, start: int, stop: int, values: Callable[[np.ndarray], None],
+             plus: np.ndarray | None = None) -> None:
+        """Write ``data[start:stop]`` in storage order, one group of whole
+        RFP columns at a time (cut at start and stop): ``values(piece)``
+        writes each piece in place, and then the entries of the upper
+        triangle of the n x n matrix ``plus``, if given, that have their
+        places in the piece are added into it while it is still in cache.
+        So each value is written once and read back from cache, and plus
+        is read one group of columns at a time."""
+        columns = self._columns()
+        lda = columns.shape[1]
+        for group in self._groups(start, stop):
+            lo = max(start, group.start * lda)
+            piece = self.data[lo:min(stop, group.stop * lda)]
+            values(piece)
+            if plus is not None:
+                held = np.empty(columns[group].shape, dtype=plus.dtype)
+                for part, tile, mask in _upper_tiles(plus, held, group.start):
+                    np.copyto(part, tile, where=mask)
+                lo -= group.start * lda
+                np.add(piece, held.ravel()[lo:lo + piece.size], out=piece)
 
     def _halves(self, v: np.ndarray, y: np.ndarray):
         """Two functions that write y1 = M11 v1 + M21^T v2 and y2 = M22 v2 +
@@ -218,11 +226,38 @@ class PackedSymmetric:
         """The full symmetric n x n matrix; without ``mirror`` only its
         upper triangle and diagonal are set, the rest left uninitialized."""
         M = np.empty((self.n, self.n))
-        for rows, cols, mask, part in self._blocks():
-            np.copyto(M[rows, cols], part, where=mask)
+        columns = self._columns()
+        for group in self._groups():
+            for part, tile, mask in _upper_tiles(M, columns[group], group.start):
+                np.copyto(tile, part, where=mask)
         if mirror:
             mirror_upper(M)
         return M
+
+
+def _upper_tiles(M: np.ndarray, columns: np.ndarray, first: int):
+    """(part, tile, mask) for each piece of the RFP columns ``first``,
+    ``first + 1``, ... of the n x n matrix M, held as the rows of
+    ``columns``: the entries of ``tile``, a view of M, where ``mask``
+    holds have their places in ``part``, a view of ``columns`` of the
+    same shape. They are the entries of M's upper triangle, diagonal
+    included, so M's lower triangle is never read or written. Column j
+    ends with ``M[j, j:]``, and M22's lower row in front of it is read
+    as the matching column of M's upper triangle, one transposed tile
+    for the whole group.
+    """
+    n, odd, size = len(M), len(M) % 2, len(columns)
+    n1, last, at = n - n // 2, first + size, first + 1 - odd
+    square = np.arange(size) >= np.arange(size)[:, None]  # on and right of the diagonal
+    yield columns[:, at:at + size], M[first:last, first:last], square
+    yield columns[:, at + size:], M[first:last, last:], True
+    # Rows top..end of M22 (RFP columns top + odd..end + odd) lie in the group.
+    top, end = max(first - odd, 0), last - odd
+    if end > top:
+        rows = columns[top + odd - first:]
+        yield rows[:, :top], M[n1:n1 + top, n1 + top:n1 + end].T, True
+        tile = M[n1 + top:n1 + end, n1 + top:n1 + end].T
+        yield rows[:, top:end], tile, square[:end - top, :end - top].T
 
 
 def _lower_symv(T: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -324,10 +359,14 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     A bool matrix is checked for exact symmetry on its one-byte entries:
     it cannot hold a non-finite value, and its 0/1 values are symmetric
     within the tolerance exactly when they are exactly symmetric, so the
-    same inputs are accepted as for its float64 copy.
+    same inputs are accepted as for its float64 copy. A bool matrix
+    marked checked (:func:`~dpase._shared.is_checked`), a valid
+    adjacency, is returned without a walk.
     """
     M = np.asarray(M)
     is_bool = M.dtype == bool
+    if is_bool and is_checked(M):
+        return M
     if not is_bool:
         M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -341,9 +380,12 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
 
 def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
     """M checked and packed; a packed M is only checked to be finite,
-    since it cannot hold an asymmetric pair."""
+    since it cannot hold an asymmetric pair, and not at all if its values
+    are marked checked (``dp_ase``'s A + E, finite by construction)."""
     if not isinstance(M, PackedSymmetric):
         return PackedSymmetric.pack(_check_symmetric(M))
+    if is_checked(M.data):
+        return M
     chunks = range(0, len(M.data), BLOCK_ENTRIES)
     if not all(np.isfinite(M.data[c:c + BLOCK_ENTRIES]).all() for c in chunks):
         raise ValueError("matrix entries must be finite")

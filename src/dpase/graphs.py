@@ -3,7 +3,7 @@
 An undirected simple graph on n vertices is represented as a plain numpy
 array: an n x n symmetric, hollow (zero-diagonal) 0/1 matrix of dtype
 bool, one byte per entry. Arithmetic on it (the embedding's float64
-copy, ``dp_ase``'s in-place ``M += A``) sees exactly 0.0 and 1.0.
+copy, ``dp_ase``'s sum with the noise) sees exactly 0.0 and 1.0.
 Block/class labels are 1-based integer vectors with values in 1..K.
 
 File formats
@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError, is_symmetric, mirror_upper, row_blocks
+from ._shared import (
+    ParameterRangeError, is_checked, is_symmetric, mark_checked, mirror_upper, row_blocks,
+)
 from .embedding import draw_in_two
 
 log = logging.getLogger(__name__)
@@ -88,6 +90,9 @@ class LabeledGraph:
 
     The arrays are frozen in place, not copied: a bool adjacency (or an
     int label vector) passed in becomes read-only in the caller's hands.
+    An adjacency that owns its data is also marked checked
+    (:func:`~dpase._shared.mark_checked`), so the library's own checks
+    do not walk it again while it stays read-only.
     """
 
     adjacency: np.ndarray
@@ -100,6 +105,7 @@ class LabeledGraph:
             raise ValueError("labels length must equal the vertex count")
         if labels.min(initial=1) < 1:
             raise ValueError("labels must be 1-based positive class ids")
+        mark_checked(adjacency)
         _freeze(self, adjacency=adjacency, labels=labels)
 
     @property
@@ -123,9 +129,13 @@ def validate_adjacency(A: np.ndarray) -> np.ndarray:
     Symmetry and hollowness must hold exactly (entrywise), not merely
     within tolerance. Symmetry is checked tile against transposed tile
     and the 0/1 check walks row blocks, so temporaries stay
-    O(``BLOCK_ENTRIES``) and O(block * n) rather than n x n.
+    O(``BLOCK_ENTRIES``) and O(block * n) rather than n x n. A bool
+    matrix marked checked (a read-only ``LabeledGraph`` adjacency, which
+    includes every ``sample_sbm`` graph) is returned without a walk.
     """
     A = np.asarray(A)
+    if A.dtype == bool and is_checked(A):
+        return A
     if A.dtype != bool:
         A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -158,7 +168,9 @@ def sample_sbm(params: SbmParams, n: int, rng: np.random.Generator) -> LabeledGr
     chunks of rows, each drawn from its own child stream of ``rng``
     (:func:`~dpase.embedding.draw_in_two`, on two threads from
     ``LANCZOS_MIN_N`` on). Two calls with an identically seeded ``rng``
-    produce bit-identical graphs, whatever the thread count.
+    produce bit-identical graphs, whatever the thread count. The matrix
+    is symmetric and hollow as built, so it is marked checked before the
+    graph is made and no check walks it.
     """
     labels = sample_block_labels(params, n, rng)
     idx = labels - 1
@@ -184,6 +196,7 @@ def sample_sbm(params: SbmParams, n: int, rng: np.random.Generator) -> LabeledGr
     draw_in_two(n, rng, fill)
     np.fill_diagonal(A, False)
     mirror_upper(A)
+    mark_checked(A)
     return LabeledGraph(adjacency=A, labels=labels)
 
 

@@ -8,9 +8,10 @@ noise draw, returns just one triangle, packed
 (:class:`~dpase.embedding.PackedSymmetric`) and filled in its storage
 order as two fixed halves, each from its own child stream of ``rng``
 (on two threads from ``LANCZOS_MIN_N`` on; the bits do not depend on
-the thread count); ``dp_ase`` adds the adjacency's upper triangle into
-it in place. Each call is a standalone (alpha, delta) release;
-composition across repeated queries is not accounted for here.
+the thread count). ``dp_ase`` has it add the adjacency's upper
+triangle as it draws, so A + E is built in one pass over its buffer.
+Each call is a standalone (alpha, delta) release; composition across
+repeated queries is not accounted for here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError
+from ._shared import ParameterRangeError, mark_checked
 from .embedding import PackedSymmetric, ase, draw_in_two
 from .graphs import validate_adjacency
 
@@ -95,9 +96,11 @@ def calibrate_noise(n: int, d: int, budget: PrivacyBudget) -> NoiseScale:
 
 
 def sample_symmetric_noise(
-    n: int, scale: NoiseScale | float, rng: np.random.Generator
+    n: int, scale: NoiseScale | float, rng: np.random.Generator, *,
+    plus: np.ndarray | None = None,
 ) -> PackedSymmetric:
-    """Symmetric n x n Gaussian noise with per-entry variance beta_sq.
+    """Symmetric n x n Gaussian noise with per-entry variance beta_sq,
+    plus the n x n matrix ``plus`` if one is given.
 
     One triangle including the diagonal is drawn i.i.d. from
     N(0, beta_sq) and returned packed; its mirror image is the other
@@ -105,8 +108,12 @@ def sample_symmetric_noise(
     two independent draws would halve it). ``.data``, in its own storage
     order (LAPACK's RFP layout), is split at half its size: each half is
     filled with standard normals from its own child stream of ``rng``
-    (:func:`~dpase.embedding.draw_in_two`) and scaled in place, so the
-    values depend on n and rng alone, never on the thread count. Which
+    (:func:`~dpase.embedding.draw_in_two`), a group of whole RFP columns
+    at a time (:meth:`~dpase.embedding.PackedSymmetric.fill`), and each
+    group is scaled, and has the upper triangle of ``plus`` added, while
+    it is still in cache. So every value is fl(fl(sigma z) + a), the same
+    bits as adding ``plus`` to the noise drawn without it, and the values
+    depend on n, rng and plus alone, never on the thread count. Which
     draw lands on which entry does not change the distribution. The
     packed vector, 4 n^2 bytes, is the only large allocation; call
     ``.dense()`` for the full matrix.
@@ -118,11 +125,13 @@ def sample_symmetric_noise(
         raise ValueError(f"matrix size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
+    if plus is not None and np.shape(plus) != (n, n):
+        raise ValueError(f"the matrix to add must be {n} x {n}, got shape {np.shape(plus)}")
     noise = PackedSymmetric(n, np.empty(n * (n + 1) // 2))
-    halves = np.split(noise.data, [noise.data.size // 2])
-    sigma = math.sqrt(beta_sq)
-    draw_in_two(n, rng, lambda stream, c: np.multiply(
-        stream.standard_normal(out=halves[c]), sigma, out=halves[c]))
+    cut, sigma = noise.data.size // 2, math.sqrt(beta_sq)
+    halves = (0, cut), (cut, noise.data.size)
+    draw_in_two(n, rng, lambda stream, c: noise.fill(*halves[c], lambda piece: np.multiply(
+        stream.standard_normal(out=piece), sigma, out=piece), plus))
     return noise
 
 
@@ -134,13 +143,16 @@ def dp_ase(
     Perturbs the whole matrix, diagonal included, and embeds the result.
     The perturbed matrix is used as-is: entries are neither clipped back
     to [0, 1] nor re-binarized, and the diagonal is not re-zeroed, since
-    any such post-processing would change the released object. The noise
-    comes packed from ``sample_symmetric_noise`` at the calibrated scale,
-    and the upper triangle of A is added into it in place, so the only
-    large buffer it allocates is 4 n^2 bytes.
+    any such post-processing would change the released object. A + E
+    comes packed from one pass of ``sample_symmetric_noise`` at the
+    calibrated scale, which adds A's upper triangle as it draws, so the
+    only large buffer it allocates is 4 n^2 bytes. A + E is finite by
+    construction (the calibrated beta is below 1.35e154 and every normal
+    is finite), so it is marked checked and the embedding does not scan
+    it again.
     """
     A = validate_adjacency(A)
     n = A.shape[0]
-    M = sample_symmetric_noise(n, calibrate_noise(n, d, budget), rng)
-    M.add(A)
+    M = sample_symmetric_noise(n, calibrate_noise(n, d, budget), rng, plus=A)
+    mark_checked(M.data)
     return ase(M, d)

@@ -34,3 +34,16 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def count_walks(monkeypatch) -> list:
+    """The size of each matrix whose symmetry a check walks, in order:
+    every check that walks one calls ``is_symmetric``."""
+    from dpase import embedding, graphs
+
+    walks = []
+    for module in (graphs, embedding):
+        real = module.is_symmetric
+        monkeypatch.setattr(module, "is_symmetric", lambda M, *rest, real=real: (
+            walks.append(len(M)), real(M, *rest))[1])
+    return walks

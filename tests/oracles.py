@@ -161,6 +161,26 @@ def brute_vote(candidates: list[tuple[float, int, int]]) -> int:
     return min(tied, key=lambda label: (nearest[label], label))
 
 
+def sorted_loocv_error(points, labels, k: int) -> float:
+    """``brute_loocv_error`` for thousands of points: each point's full row
+    of squared distances, summed coordinate by coordinate from 0 as
+    ``sq_dist`` sums them, is ranked by numpy's stable sort (ties by
+    index) with the point itself set to inf, so the ranking and the vote
+    are the same."""
+    points = np.asarray(points, dtype=float)
+    n, errors = len(points), 0
+    for i in range(n):
+        row = np.zeros(n)
+        for j in range(points.shape[1]):
+            diff = points[:, j] - points[i, j]
+            row += diff * diff
+        row[i] = np.inf
+        ranked = np.argsort(row, kind="stable")[:k]
+        if brute_vote([(row[j], j, int(labels[j])) for j in ranked]) != int(labels[i]):
+            errors += 1
+    return errors / n
+
+
 def brute_knn_predict(points, labels, query, k: int) -> int:
     ranked = sorted(
         (sq_dist(points[i], query), i, int(labels[i])) for i in range(len(points))

@@ -186,13 +186,57 @@ class TestLoocvError:
 
     def test_seeded_case_spanning_several_default_blocks(self):
         n = 600
-        assert len(_shared.row_blocks(n)) > 1
+        assert len(_shared.row_blocks(n, classify.SWEEP_MIN_ROWS)) > 1
         rng = np.random.default_rng(9)
         points = rng.integers(-4, 5, size=(n, 2)).astype(float)
         labels = rng.integers(1, 4, size=n)
         for k in (1, 4):
             mine = loocv_error(points, labels, k).error_rate
             assert mine == oracles.brute_loocv_error(points, labels, k)
+
+
+class TestBlockRule:
+    @staticmethod
+    def block_rows(monkeypatch) -> list:
+        """The rows of each block a LOOCV call votes on, one vote per block."""
+        rows, real = [], classify._vote
+        monkeypatch.setattr(classify, "_vote", lambda sq, *rest: (rows.append(len(sq)),
+                                                                   real(sq, *rest))[1])
+        return rows
+
+    @pytest.mark.parametrize("n", [300, 1000, 2000])
+    def test_the_sorted_sweep_walks_at_least_the_minimum_rows(self, monkeypatch, n):
+        # 218 rows at n = 300 and 65 at n = 1000, as before; 64 from n = 1025 on.
+        rng = np.random.default_rng(n)
+        points, labels = rng.normal(size=(n, 2)), rng.integers(1, 3, size=n)
+        rows = self.block_rows(monkeypatch)
+        loocv_error(points, labels, 3)
+        step = max(classify.SWEEP_MIN_ROWS, _shared.BLOCK_ENTRIES // n)
+        assert classify.SWEEP_MIN_ROWS == 64
+        assert rows == [min(step, n - start) for start in range(0, n, step)]
+
+    def test_the_gram_filter_keeps_row_blocks(self, monkeypatch):
+        n = 2000
+        rng = np.random.default_rng(4)
+        points, labels = rng.normal(size=(n, 10)), rng.integers(1, 3, size=n)
+        rows = self.block_rows(monkeypatch)
+        loocv_error(points, labels, 3)
+        assert rows == [b.stop - b.start for b in _shared.row_blocks(n)]
+        assert rows[0] == 32
+
+    def test_a_seeded_n4000_case_at_the_new_block_size_matches_the_oracle(self):
+        # 63 blocks of 64 sorted points; half-unit grid points tie often.
+        n = 4000
+        rng = np.random.default_rng(27)
+        points = rng.integers(-40, 41, size=(n, 2)) * 0.5
+        points[n // 2:] += 6.0
+        labels = np.repeat([1, 2], n // 2)
+        few = slice(0, n, 10)  # the oracle ranks as the exhaustive one does
+        assert (oracles.sorted_loocv_error(points[few], labels[few], 3)
+                == oracles.brute_loocv_error(points[few], labels[few], 3))
+        for k in (1, 5):
+            mine = loocv_error(points, labels, k).error_rate
+            assert mine == oracles.sorted_loocv_error(points, labels, k)
 
 
 class TestChanceError:
@@ -290,7 +334,8 @@ class TestMultiBlockExactness:
         n = len(points)
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
             mp.setattr(_shared, "BLOCK_ENTRIES", rows * n)
-            assert len(_shared.row_blocks(n)) == -(-n // rows)
+            mp.setattr(classify, "SWEEP_MIN_ROWS", 1)
+            assert len(_shared.row_blocks(n, classify.SWEEP_MIN_ROWS)) == -(-n // rows)
             mine = loocv_error(points, labels, k).error_rate
         assert mine == oracles.brute_loocv_error(points, labels, k)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dpase
+from conftest import count_walks
 from dpase import embedding, load_edge_list, sample_sbm, SbmParams, write_edge_list
 from dpase.cli import main, parse_float_list, parse_int_list
 from dpase.sweeps import DatasetSource, SimulationSource
@@ -137,6 +138,33 @@ class TestSweepCommands:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestChecksPerGraph:
+    """Symmetry walks per sweep: a sampled graph is valid as built and is
+    never walked; a loaded one is walked once, when its LabeledGraph is
+    made, and its frozen matrix not again by any cell."""
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_a_simulated_n_sweep_walks_no_graph(self, tmp_path, monkeypatch, n):
+        walks = count_walks(monkeypatch)
+        assert main(["simulate-sweep-n", "--n-list", f"{n},40", *SBM_FLAGS,
+                     "--replicates", "2", "--out", str(tmp_path / "x.csv")]) == 0
+        assert walks == []
+
+    def test_a_four_cell_privacy_grid_walks_no_graph(self, tmp_path, monkeypatch):
+        walks = count_walks(monkeypatch)
+        assert main(["privacy-grid", "--n", "300", *SBM_FLAGS, "--alpha", "0.4,0.8",
+                     "--delta", "0.01,0.02", "--out", str(tmp_path / "x.csv")]) == 0
+        assert walks == []
+
+    def test_a_loaded_graph_is_walked_once_for_all_its_cells(self, tmp_path, monkeypatch):
+        edges, labels, _ = write_fixture_graph(tmp_path)
+        walks = count_walks(monkeypatch)
+        assert main(["alpha-tradeoff", "--edge-list", str(edges), "--labels", str(labels),
+                     "--alpha", "0.4,0.8", "--replicates", "2",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert walks == [24]
 
 
 class TestSweepDispatch:

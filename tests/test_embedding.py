@@ -207,9 +207,10 @@ class TestPackedSymmetric:
     @pytest.mark.parametrize("block_entries", [None, 7])
     @pytest.mark.parametrize("n", LAYOUT_SIZES)
     def test_every_producer_writes_lapacks_rfp_layout(self, monkeypatch, n, block_entries):
-        # Packing walks row blocks of about BLOCK_ENTRIES entries; 7 makes
-        # blocks of one row (n > 3) or of several short rows (n <= 3).
-        # Every position is compared bit for bit with LAPACK's dtpttf.
+        # Every producer walks groups of whole RFP columns of about
+        # BLOCK_ENTRIES values; 7 makes groups of one column (n > 5) or of
+        # several short columns (n <= 5). Every position is compared bit
+        # for bit with LAPACK's dtpttf.
         if block_entries is not None:
             monkeypatch.setattr(_shared, "BLOCK_ENTRIES", block_entries)
         M = random_symmetric(n, np.random.default_rng(n))
@@ -218,13 +219,13 @@ class TestPackedSymmetric:
         assert packed.data.tobytes() == oracles.rfp_layout(M).tobytes()
         assert np.array_equal(packed.dense(), M)
         assert PackedSymmetric.pack(A).data.tobytes() == oracles.rfp_layout(A).tobytes()
-        packed.add(A)
-        assert packed.data.tobytes() == oracles.rfp_layout(M + A).tobytes()
-        upper = packed.dense(mirror=False)[np.triu_indices(n)]
-        assert upper.tobytes() == (M + A)[np.triu_indices(n)].tobytes()
         noise = sample_symmetric_noise(n, 0.3, np.random.default_rng(n))
         E = oracles.rfp_noise(n, 0.3, np.random.default_rng(n))
         assert noise.data.tobytes() == oracles.rfp_layout(E).tobytes()
+        total = sample_symmetric_noise(n, 0.3, np.random.default_rng(n), plus=A)
+        assert total.data.tobytes() == oracles.rfp_layout(E + A).tobytes()
+        upper = total.dense(mirror=False)[np.triu_indices(n)]
+        assert upper.tobytes() == (E + A)[np.triu_indices(n)].tobytes()
 
     @pytest.mark.parametrize("cblas", [True, False], ids=["cblas", "numpy"])
     @pytest.mark.parametrize("n", LAYOUT_SIZES)
@@ -396,8 +397,7 @@ class TestLanczosPath:
         A = sample_sbm(SbmParams(B=B_TWO_BLOCK, pi=[0.4, 0.6]), n,
                        np.random.default_rng(7)).adjacency
         M = sample_symmetric_noise(n, calibrate_noise(n, d, PrivacyBudget(0.1, 0.01)),
-                                   np.random.default_rng(100))
-        M.add(A)
+                                   np.random.default_rng(100), plus=A)
         ref_values, ref_vectors = oracles.dense_top_d(M.dense(), d)
         products = count_products(monkeypatch)
         pairs = top_d_eigen(M, d)

@@ -1,6 +1,7 @@
 """Blockmodel sampling, adjacency validation, and file ingestion."""
 
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import TILE_CASE_ENTRIES, TILE_CASE_N, traced_peak
+from conftest import TILE_CASE_ENTRIES, TILE_CASE_N, count_walks, traced_peak
 from dpase import (
     EdgeListError,
     LabeledGraph,
     ParameterRangeError,
+    PrivacyBudget,
     SbmParams,
+    dp_ase,
     load_edge_list,
     load_labels,
     sample_block_labels,
@@ -593,3 +596,77 @@ class TestLabeledGraph:
         graph = sample_sbm(two_block_params(), 10, np.random.default_rng(0))
         with pytest.raises(ValueError):
             graph.adjacency[0, 1] = 1.0
+
+
+class TestCheckedOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        K=st.integers(1, 3),
+        p=st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_sampled_graph_is_valid_as_built(self, n, K, p, seed):
+        # sample_sbm's matrix is marked checked unwalked; a writable copy
+        # bypasses the mark and gets the full check.
+        B = np.zeros((K, K))
+        B[np.triu_indices(K)] = p[:K * (K + 1) // 2]
+        params = SbmParams(B=np.maximum(B, B.T), pi=np.full(K, 1 / K))
+        graph = sample_sbm(params, n, np.random.default_rng(seed))
+        assert _shared.is_checked(graph.adjacency)
+        copy = graph.adjacency.copy()
+        assert not _shared.is_checked(copy)
+        assert validate_adjacency(copy) is copy
+
+    def test_a_checked_graph_is_not_walked_again(self, monkeypatch):
+        graph = sample_sbm(two_block_params(), 50, np.random.default_rng(2))
+        walks = count_walks(monkeypatch)
+        assert validate_adjacency(graph.adjacency) is graph.adjacency
+        assert embedding._check_symmetric(graph.adjacency) is graph.adjacency
+        write_edge_list(graph.adjacency, os.devnull)
+        assert walks == []
+
+    def test_raw_arrays_copies_views_and_writable_arrays_are_walked(self, monkeypatch):
+        A = sample_sbm(two_block_params(), 50, np.random.default_rng(2)).adjacency
+        loaded = np.array(A)  # a raw array, never marked
+        LabeledGraph(adjacency=loaded, labels=np.ones(50, dtype=int))
+        walks = count_walks(monkeypatch)
+        for M in (A.copy(), A[:, :], A.astype(float), np.array(A, order="F")):
+            validate_adjacency(M)
+            embedding._check_symmetric(M)
+        assert walks == [50] * 8
+        walks.clear()
+        validate_adjacency(loaded)  # the LabeledGraph marked it
+        assert walks == []
+        loaded.setflags(write=True)
+        validate_adjacency(loaded)
+        assert walks == [50]
+
+    def test_a_view_given_to_a_graph_is_frozen_but_not_marked(self):
+        # A view's base could still be written through.
+        A = sample_sbm(two_block_params(), 50, np.random.default_rng(2)).adjacency
+        view = np.array(A)[:, :]
+        LabeledGraph(adjacency=view, labels=np.ones(50, dtype=int))
+        assert not view.flags.writeable and not _shared.is_checked(view)
+
+    def test_a_graph_made_writable_again_is_checked_again(self):
+        graph = sample_sbm(two_block_params(), 20, np.random.default_rng(2))
+        A = graph.adjacency
+        A.setflags(write=True)
+        A[0, 1] = not A[0, 1]
+        with pytest.raises(ValueError, match="symmetric"):
+            validate_adjacency(A)
+        with pytest.raises(ValueError, match="symmetric"):
+            embedding.ase(A, 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            dp_ase(A, 2, PrivacyBudget(0.5, 0.01), np.random.default_rng(0))
+
+    def test_an_asymmetric_raw_matrix_is_still_rejected(self):
+        A = np.zeros((6, 6), dtype=bool)
+        A[0, 1] = True
+        for call in (validate_adjacency, lambda M: embedding.ase(M, 2),
+                     lambda M: dp_ase(M, 2, PrivacyBudget(0.5, 0.01), np.random.default_rng(0))):
+            with pytest.raises(ValueError, match="symmetric"):
+                call(A)
+            with pytest.raises(ValueError, match="symmetric"):
+                call(A.astype(float))

@@ -187,6 +187,26 @@ class TestSampleSymmetricNoise:
             serial = sample_symmetric_noise(n, 0.3, np.random.default_rng(n)).data
             assert serial.tobytes() == threaded.tobytes()
 
+    @pytest.mark.parametrize("threads", ["serial", "helper"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 999, 1000, 1001, 2001])
+    def test_adding_a_matrix_as_it_draws_equals_adding_it_after(self, monkeypatch, n, threads):
+        # Each value is fl(fl(sigma z) + a) either way, and normals drawn a
+        # group of columns at a time are those of one call. At n = 2, 257,
+        # 1001 and 2001 an RFP column straddles the cut between the halves.
+        # Only the upper triangle is read: the lower one here differs.
+        monkeypatch.setattr(embedding, "LANCZOS_MIN_N", 10**9 if threads == "serial" else 1)
+        rng = np.random.default_rng(n + 5)
+        for plus in (rng.normal(size=(n, n)), rng.random((n, n)) < 0.3):
+            noise_rng, sum_rng = np.random.default_rng(n), np.random.default_rng(n)
+            noise = sample_symmetric_noise(n, 0.3, noise_rng).data
+            total = sample_symmetric_noise(n, 0.3, sum_rng, plus=plus).data
+            assert total.tobytes() == (noise + oracles.rfp_layout(plus)).tobytes()
+            assert noise_rng.random() == sum_rng.random()  # same share of the stream used
+
+    def test_rejects_a_matrix_to_add_of_another_size(self):
+        with pytest.raises(ValueError, match="must be 3 x 3"):
+            sample_symmetric_noise(3, 0.3, np.random.default_rng(0), plus=np.zeros((3, 4)))
+
     def test_no_helper_thread_below_the_lanczos_size(self, monkeypatch):
         calls = []
         monkeypatch.setattr(embedding, "_split", lambda *halves: calls.append(1))
@@ -293,13 +313,13 @@ class TestDpAse:
         budget = PrivacyBudget(0.5, 0.01)
         calls, real = [], privacy_module.sample_symmetric_noise
 
-        def spy(n, scale, rng):
-            calls.append((n, scale))
-            return real(n, scale, rng)
+        def spy(n, scale, rng, *, plus=None):
+            calls.append((n, scale, plus is graph.adjacency))
+            return real(n, scale, rng, plus=plus)
 
         monkeypatch.setattr(privacy_module, "sample_symmetric_noise", spy)
         dp_ase(graph.adjacency, 2, budget, np.random.default_rng(24))
-        assert calls == [(40, calibrate_noise(40, 2, budget))]
+        assert calls == [(40, calibrate_noise(40, 2, budget), True)]
 
     @pytest.mark.parametrize("n", [1, 2, 257])
     def test_packed_matrix_is_the_two_stream_draw_plus_the_graph(self, monkeypatch, n):

@@ -1,5 +1,6 @@
 """Sweep runners: ordering, seeding, failure tagging, and emission."""
 
+import copy
 import csv
 import itertools
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import oracles
 from conftest import traced_peak
 from dpase import (
     CSV_COLUMNS,
@@ -282,10 +284,14 @@ class TestDatasetSource:
         draws = []
         real = privacy.sample_symmetric_noise
 
-        def spy(n, scale, rng):
-            noise = real(n, scale, rng)
-            draws.append((math.sqrt(scale.beta_sq), noise.data.copy()))
-            return noise
+        def spy(n, scale, rng, *, plus=None):
+            # The noise alone, from a copy of the stream, is the released
+            # matrix less the graph.
+            alone = real(n, scale, copy.deepcopy(rng)).data
+            released = real(n, scale, rng, plus=plus)
+            assert released.data.tobytes() == (alone + oracles.rfp_layout(plus)).tobytes()
+            draws.append((math.sqrt(scale.beta_sq), alone))
+            return released
 
         monkeypatch.setattr(privacy, "sample_symmetric_noise", spy)
         run_alpha_tradeoff(fixed_source(), 60, 2, [0.3, 0.8], 0.01, 3, 1, 0)
