@@ -23,13 +23,11 @@ class ParameterRangeError(ValueError):
     """
 
 
-def row_blocks(n: int, min_rows: int = 1, *, start: int = 0,
-               width: int | None = None) -> list[slice]:
-    """Consecutive row slices covering ``range(start, n)``, each about
-    ``BLOCK_ENTRIES`` entries of a matrix of ``width`` columns (n by
-    default) but at least ``min_rows`` rows."""
-    step = max(min_rows, BLOCK_ENTRIES // max(n if width is None else width, 1))
-    return [slice(i, min(i + step, n)) for i in range(start, n, step)]
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices covering ``range(n)``, each about
+    ``BLOCK_ENTRIES`` entries of an n-column matrix."""
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _tile_side() -> int:
@@ -88,17 +86,20 @@ def is_symmetric(M: np.ndarray, tol: float = 0.0) -> bool:
     return True
 
 
-# Read-only arrays that own their data and hold, as built or as checked,
-# what the check that consults the record for their kind would find:
-# a bool square array is a valid adjacency (symmetric, hollow), a float
-# vector the finite values of a packed matrix. Keyed by id and held
-# weakly, so an entry goes with its array.
+# Read-only arrays that own their data and hold, as built, what the
+# check that consults the record for their kind would find: a bool
+# square array is a valid adjacency (symmetric, hollow), a float vector
+# the finite values of a packed matrix. Only an array that no view of
+# exists yet may be recorded: freezing an array does not freeze a
+# writable view made before. Keyed by id and held weakly, so an entry
+# goes with its array.
 _checked: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def mark_checked(array: np.ndarray) -> None:
-    """Make ``array`` read-only and, if it owns its data (a view's base
-    could still be written through), record it as checked."""
+    """Make ``array``, just built valid and with no view of it, read-only
+    and, if it owns its data (a view's base could still be written
+    through), record it as checked."""
     array.setflags(write=False)
     if array.flags.owndata:
         _checked[id(array)] = array

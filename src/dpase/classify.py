@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import ParameterRangeError, row_blocks
+from . import _shared
+from ._shared import ParameterRangeError
 from .embedding import _one_blas_thread
 
 # From this many dimensions on, LOOCV ranks through the Gram filter
@@ -44,14 +45,17 @@ from .embedding import _one_blas_thread
 # slower at d = 5 and 10 (0.8 -> 0.9 and 1.0 -> 1.2 ms).
 GRAM_FILTER_MIN_D = 5
 # The sorted sweep walks blocks of at least this many sorted points,
-# where BLOCK_ENTRIES / n gives fewer (n > 1024); the Gram filter keeps
+# where BLOCK_ENTRIES / n gives fewer (n > 2048); the Gram filter keeps
 # ``row_blocks``. Its block's work grows with the block, the sweep's
 # only with the candidate slice, so fewer Python-level rounds pay. One
 # plain plus one private call at d = 2 on a seed-7 blockmodel, k = 3,
-# 2-core x86-64 machine, BLOCK_ENTRIES / n rows -> 32, 64, 128 rows:
-# 37 -> 34, 34, 30 ms at n = 2000; 81 -> 61, 63, 78 ms at n = 4000;
-# 325 -> 199, 175, 195 ms at n = 8000, with the same error rates.
-SWEEP_MIN_ROWS = 64
+# 2-core x86-64 machine, BLOCK_ENTRIES / n rows -> 32, 64 rows: 81 ->
+# 61, 63 ms at n = 4000 and 325 -> 199, 175 ms at n = 8000, with the
+# same error rates. At 64 rows the block temporaries (2 MB each at
+# n = 4000) left heap memory held under the next cell's buffers: peak
+# RSS of 15 nsweep passes read 132 MB in 2 of 6 processes, against
+# 121-122 MB in all 6 at 32 rows and in 4 of 4 at BLOCK_ENTRIES / n.
+SWEEP_MIN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
 
     The points are sorted, stably, on their widest coordinate and walked
     in blocks of about ``BLOCK_ENTRIES / n`` consecutive sorted points,
-    but at least ``SWEEP_MIN_ROWS`` (64, from n = 1025 on). For each
+    but at least ``SWEEP_MIN_ROWS`` (32, from n = 2049 on). For each
     block:
 
     1. Distances to the block's sorted neighbors, a full block plus k on
@@ -287,7 +291,9 @@ def loocv_error(points: np.ndarray, labels: np.ndarray, k: int) -> ErrorReport:
     # of a slice of the sorted points at a time.
     coords = np.ascontiguousarray(points[order].T)
     gram = _gram_bounds(coords) if len(coords) >= GRAM_FILTER_MIN_D else None
-    blocks = row_blocks(n) if gram is not None else row_blocks(n, SWEEP_MIN_ROWS)
+    # With the Gram filter these are ``row_blocks(n)``.
+    step = max(SWEEP_MIN_ROWS if gram is None else 1, _shared.BLOCK_ENTRIES // n)
+    blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
     # A full block plus k on each side; with the Gram filter, all points.
     reach = blocks[0].stop + k if gram is None else n
     errors = 0

@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 
+from ._shared import mark_checked
 from .classify import loocv_error
 from .embedding import ase
 from .graphs import (
@@ -247,6 +248,7 @@ def _sbm_params(opts: dict) -> SbmParams:
 def _load_dataset(opts: dict) -> LabeledGraph:
     _require(opts, "labels")
     adjacency = load_edge_list(opts["edge_list"], n_hint=opts.get("n_hint"))
+    mark_checked(adjacency)  # symmetric and hollow as built, and no view of it exists
     labels = load_labels(opts["labels"], adjacency.shape[0])
     return LabeledGraph(adjacency=adjacency, labels=labels)
 
@@ -278,6 +280,7 @@ def _cmd_embed(opts: dict) -> int:
     if (opts["alpha"] is None) != (opts["delta"] is None):
         raise ValueError("provide both --alpha and --delta, or neither for a plain embedding")
     adjacency = load_edge_list(opts["edge_list"], n_hint=opts.get("n_hint"))
+    mark_checked(adjacency)  # symmetric and hollow as built, and no view of it exists
     if opts["alpha"] is None:
         positions = ase(adjacency, opts["dim"])
     else:

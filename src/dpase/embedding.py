@@ -57,9 +57,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _shared
 from ._shared import (
-    BLOCK_ENTRIES, ParameterRangeError, is_checked, is_symmetric, mirror_upper, row_blocks,
-    tile_pairs,
+    ParameterRangeError, is_checked, is_symmetric, mirror_upper, row_blocks, tile_pairs,
 )
 
 INPUT_SYMMETRY_TOL = 1e-12
@@ -140,8 +140,9 @@ class PackedSymmetric:
         values each (at least one column), from the column that holds
         ``data[start]`` through the one that holds ``data[stop - 1]``."""
         lda = self.n + 1 - self.n % 2
-        stop = self.data.size if stop is None else stop
-        return row_blocks(-(-stop // lda), start=start // lda, width=lda)
+        step = max(1, _shared.BLOCK_ENTRIES // lda)
+        ncols = -(-(self.data.size if stop is None else stop) // lda)
+        return [slice(j, min(j + step, ncols)) for j in range(start // lda, ncols, step)]
 
     def _columns(self) -> np.ndarray:
         """``data`` as an array whose row j is RFP column j."""
@@ -386,8 +387,8 @@ def _packed(M: np.ndarray | PackedSymmetric) -> PackedSymmetric:
         return PackedSymmetric.pack(_check_symmetric(M))
     if is_checked(M.data):
         return M
-    chunks = range(0, len(M.data), BLOCK_ENTRIES)
-    if not all(np.isfinite(M.data[c:c + BLOCK_ENTRIES]).all() for c in chunks):
+    step = _shared.BLOCK_ENTRIES
+    if not all(np.isfinite(M.data[c:c + step]).all() for c in range(0, len(M.data), step)):
         raise ValueError("matrix entries must be finite")
     return M
 

@@ -90,9 +90,6 @@ class LabeledGraph:
 
     The arrays are frozen in place, not copied: a bool adjacency (or an
     int label vector) passed in becomes read-only in the caller's hands.
-    An adjacency that owns its data is also marked checked
-    (:func:`~dpase._shared.mark_checked`), so the library's own checks
-    do not walk it again while it stays read-only.
     """
 
     adjacency: np.ndarray
@@ -105,7 +102,6 @@ class LabeledGraph:
             raise ValueError("labels length must equal the vertex count")
         if labels.min(initial=1) < 1:
             raise ValueError("labels must be 1-based positive class ids")
-        mark_checked(adjacency)
         _freeze(self, adjacency=adjacency, labels=labels)
 
     @property
@@ -130,8 +126,9 @@ def validate_adjacency(A: np.ndarray) -> np.ndarray:
     within tolerance. Symmetry is checked tile against transposed tile
     and the 0/1 check walks row blocks, so temporaries stay
     O(``BLOCK_ENTRIES``) and O(block * n) rather than n x n. A bool
-    matrix marked checked (a read-only ``LabeledGraph`` adjacency, which
-    includes every ``sample_sbm`` graph) is returned without a walk.
+    matrix marked checked as built (:func:`~dpase._shared.mark_checked`:
+    every ``sample_sbm`` graph and the CLI's loaded edge lists) is
+    returned without a walk.
     """
     A = np.asarray(A)
     if A.dtype == bool and is_checked(A):

@@ -186,7 +186,7 @@ class TestLoocvError:
 
     def test_seeded_case_spanning_several_default_blocks(self):
         n = 600
-        assert len(_shared.row_blocks(n, classify.SWEEP_MIN_ROWS)) > 1
+        assert max(classify.SWEEP_MIN_ROWS, _shared.BLOCK_ENTRIES // n) < n
         rng = np.random.default_rng(9)
         points = rng.integers(-4, 5, size=(n, 2)).astype(float)
         labels = rng.integers(1, 4, size=n)
@@ -204,15 +204,15 @@ class TestBlockRule:
                                                                    real(sq, *rest))[1])
         return rows
 
-    @pytest.mark.parametrize("n", [300, 1000, 2000])
+    @pytest.mark.parametrize("n", [300, 1000, 4000])
     def test_the_sorted_sweep_walks_at_least_the_minimum_rows(self, monkeypatch, n):
-        # 218 rows at n = 300 and 65 at n = 1000, as before; 64 from n = 1025 on.
+        # 218 rows at n = 300 and 65 at n = 1000, as before; 32 from n = 2049 on.
         rng = np.random.default_rng(n)
         points, labels = rng.normal(size=(n, 2)), rng.integers(1, 3, size=n)
         rows = self.block_rows(monkeypatch)
         loocv_error(points, labels, 3)
         step = max(classify.SWEEP_MIN_ROWS, _shared.BLOCK_ENTRIES // n)
-        assert classify.SWEEP_MIN_ROWS == 64
+        assert classify.SWEEP_MIN_ROWS == 32
         assert rows == [min(step, n - start) for start in range(0, n, step)]
 
     def test_the_gram_filter_keeps_row_blocks(self, monkeypatch):
@@ -225,7 +225,7 @@ class TestBlockRule:
         assert rows[0] == 32
 
     def test_a_seeded_n4000_case_at_the_new_block_size_matches_the_oracle(self):
-        # 63 blocks of 64 sorted points; half-unit grid points tie often.
+        # 125 blocks of 32 sorted points; half-unit grid points tie often.
         n = 4000
         rng = np.random.default_rng(27)
         points = rng.integers(-40, 41, size=(n, 2)) * 0.5
@@ -335,7 +335,7 @@ class TestMultiBlockExactness:
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
             mp.setattr(_shared, "BLOCK_ENTRIES", rows * n)
             mp.setattr(classify, "SWEEP_MIN_ROWS", 1)
-            assert len(_shared.row_blocks(n, classify.SWEEP_MIN_ROWS)) == -(-n // rows)
+            assert max(classify.SWEEP_MIN_ROWS, _shared.BLOCK_ENTRIES // n) == rows
             mine = loocv_error(points, labels, k).error_rate
         assert mine == oracles.brute_loocv_error(points, labels, k)
 

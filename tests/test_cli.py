@@ -141,9 +141,8 @@ class TestSweepCommands:
 
 
 class TestChecksPerGraph:
-    """Symmetry walks per sweep: a sampled graph is valid as built and is
-    never walked; a loaded one is walked once, when its LabeledGraph is
-    made, and its frozen matrix not again by any cell."""
+    """Symmetry walks per command: a sampled graph and a loaded edge list
+    are valid as built and are never walked."""
 
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_a_simulated_n_sweep_walks_no_graph(self, tmp_path, monkeypatch, n):
@@ -158,13 +157,21 @@ class TestChecksPerGraph:
                      "--delta", "0.01,0.02", "--out", str(tmp_path / "x.csv")]) == 0
         assert walks == []
 
-    def test_a_loaded_graph_is_walked_once_for_all_its_cells(self, tmp_path, monkeypatch):
+    def test_a_loaded_graph_is_walked_by_no_cell(self, tmp_path, monkeypatch):
         edges, labels, _ = write_fixture_graph(tmp_path)
         walks = count_walks(monkeypatch)
         assert main(["alpha-tradeoff", "--edge-list", str(edges), "--labels", str(labels),
                      "--alpha", "0.4,0.8", "--replicates", "2",
                      "--out", str(tmp_path / "x.csv")]) == 0
-        assert walks == [24]
+        assert walks == []
+
+    def test_an_embedded_edge_list_is_not_walked(self, tmp_path, monkeypatch):
+        edges, _, _ = write_fixture_graph(tmp_path)
+        walks = count_walks(monkeypatch)
+        for release in ([], ["--alpha", "0.5", "--delta", "0.01"]):
+            assert main(["embed", "--edge-list", str(edges), "--dim", "2", *release,
+                         "--out", str(tmp_path / "e.csv")]) == 0
+        assert walks == []
 
 
 class TestSweepDispatch:

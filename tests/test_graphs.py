@@ -629,25 +629,27 @@ class TestCheckedOnce:
     def test_raw_arrays_copies_views_and_writable_arrays_are_walked(self, monkeypatch):
         A = sample_sbm(two_block_params(), 50, np.random.default_rng(2)).adjacency
         loaded = np.array(A)  # a raw array, never marked
-        LabeledGraph(adjacency=loaded, labels=np.ones(50, dtype=int))
         walks = count_walks(monkeypatch)
         for M in (A.copy(), A[:, :], A.astype(float), np.array(A, order="F")):
             validate_adjacency(M)
             embedding._check_symmetric(M)
         assert walks == [50] * 8
         walks.clear()
-        validate_adjacency(loaded)  # the LabeledGraph marked it
-        assert walks == []
-        loaded.setflags(write=True)
-        validate_adjacency(loaded)
-        assert walks == [50]
+        LabeledGraph(adjacency=loaded, labels=np.ones(50, dtype=int))
+        validate_adjacency(loaded)  # frozen by the graph, but not marked
+        assert walks == [50, 50]
+        assert not loaded.flags.writeable and not _shared.is_checked(loaded)
 
-    def test_a_view_given_to_a_graph_is_frozen_but_not_marked(self):
-        # A view's base could still be written through.
-        A = sample_sbm(two_block_params(), 50, np.random.default_rng(2)).adjacency
-        view = np.array(A)[:, :]
-        LabeledGraph(adjacency=view, labels=np.ones(50, dtype=int))
-        assert not view.flags.writeable and not _shared.is_checked(view)
+    def test_a_graph_over_a_matrix_with_a_writable_view_still_checks_it(self):
+        # The caller's view outlives the freeze and can break symmetry.
+        A = np.zeros((6, 6), dtype=bool)
+        view = A[:]
+        graph = LabeledGraph(adjacency=A, labels=np.ones(6, dtype=int))
+        view[0, 1] = True
+        with pytest.raises(ValueError, match="symmetric"):
+            dp_ase(graph.adjacency, 2, PrivacyBudget(0.5, 0.01), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="symmetric"):
+            embedding.ase(graph.adjacency, 2)
 
     def test_a_graph_made_writable_again_is_checked_again(self):
         graph = sample_sbm(two_block_params(), 20, np.random.default_rng(2))
